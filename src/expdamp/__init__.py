@@ -45,13 +45,12 @@ from .response import (
     response_terms,
     time_grid,
 )
-from .oracle import AugmentedState, convolution_check, integrate
+from .oracle import convolution_check, integrate
 from .bounds import BoundReport, decay_bounds, split_history_term, verify_decay
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedState",
     "BoundReport",
     "CharacteristicPolynomial",
     "Constant",

@@ -27,7 +27,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,6 @@ from .response import forced_response, time_grid
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "ConstantForcing",
-    "SineForcing",
     "SamplesForcing",
     "parse_config",
     "serialize_config",
@@ -81,18 +80,6 @@ class _WriteError(Exception):
 
 
 @dataclass(frozen=True)
-class ConstantForcing:
-    value: float
-
-
-@dataclass(frozen=True)
-class SineForcing:
-    amplitude: float
-    omega: float
-    phase: float = 0.0
-
-
-@dataclass(frozen=True)
 class SamplesForcing:
     """Forcing read from a CSV file (`t,f` header, t matching the grid);
     relative paths resolve against the config file's directory."""
@@ -100,7 +87,13 @@ class SamplesForcing:
     path: str
 
 
-ForcingSpec = ConstantForcing | SineForcing | SamplesForcing
+ForcingSpec = Constant | Sine | SamplesForcing
+
+# The typed config sections: the "type" key picks the dataclass, the
+# other keys are its fields. "none" is accepted by both and means absent.
+_HISTORY_TYPES = {"constant": Constant, "sine": Sine, "polynomial": Polynomial,
+                  "samples": Samples}
+_FORCING_TYPES = {"constant": Constant, "sine": Sine, "samples": SamplesForcing}
 
 
 @dataclass(frozen=True)
@@ -122,8 +115,6 @@ class ScenarioConfig:
 # --------------------------------------------------------------------------
 # Config parsing. Every failure names the offending field.
 
-_MISSING = object()
-
 
 def _section(doc: dict, key: str, required: bool = True) -> dict | None:
     value = doc.get(key)
@@ -136,29 +127,37 @@ def _section(doc: dict, key: str, required: bool = True) -> dict | None:
     return value
 
 
-def _number(sec: dict, key: str, path: str, default=_MISSING) -> float:
-    if key not in sec or sec[key] is None:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required field")
-    value = sec[key]
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
 
 
-def _number_list(sec: dict, key: str, path: str) -> list[float]:
-    if key not in sec:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    value = sec[key]
+def _number_list(value, path: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}.{key}: expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a number, got {item!r}")
-        out.append(float(item))
-    return out
+        raise ConfigError(f"{path}: expected a non-empty list of numbers")
+    return tuple(_number(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def _file_path(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty file path")
+    return value
+
+
+# Readers by field annotation (a string: the modules postpone annotations).
+_READERS = {"float": _number, "float | None": _number, "str": _file_path,
+            "tuple[float, ...]": _number_list}
+
+
+def _field(sec: dict, key: str, path: str, read=_number, default=MISSING):
+    # null counts as absent.
+    value = sec.get(key)
+    if value is None:
+        if default is not MISSING:
+            return default
+        raise ConfigError(f"{path}.{key}: missing required field")
+    return read(value, f"{path}.{key}")
 
 
 def _reject_unknown(sec: dict, allowed: set[str], prefix: str):
@@ -169,73 +168,47 @@ def _reject_unknown(sec: dict, allowed: set[str], prefix: str):
             )
 
 
-def _parse_history(sec: dict | None) -> HistoryProfile | None:
-    if sec is None:
-        return None
-    kind = sec.get("type")
-    if kind == "none":
-        _reject_unknown(sec, {"type"}, "history.")
-        return None
-    if kind not in ("constant", "sine", "polynomial", "samples"):
-        raise ConfigError(
-            "history.type: expected one of none, constant, sine, polynomial, "
-            f"samples; got {kind!r}"
-        )
-    a = _number(sec, "a", "history")
+def _construct(cls, section: str, /, *args, **kwargs):
     try:
-        if kind == "constant":
-            _reject_unknown(sec, {"type", "a", "value"}, "history.")
-            shape = Constant(_number(sec, "value", "history"))
-        elif kind == "sine":
-            _reject_unknown(sec, {"type", "a", "amplitude", "omega", "phase"}, "history.")
-            shape = Sine(
-                _number(sec, "amplitude", "history"),
-                _number(sec, "omega", "history"),
-                _number(sec, "phase", "history", default=0.0),
-            )
-        elif kind == "polynomial":
-            _reject_unknown(sec, {"type", "a", "coeffs"}, "history.")
-            shape = Polynomial(tuple(_number_list(sec, "coeffs", "history")))
-        else:
-            _reject_unknown(sec, {"type", "a", "values", "spacing"}, "history.")
-            values = tuple(_number_list(sec, "values", "history"))
-            spacing = None
-            if sec.get("spacing") is not None:
-                spacing = _number(sec, "spacing", "history")
-            shape = Samples(values, spacing)
-        return HistoryProfile(a, shape)
-    except ConfigError:
-        raise
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"history: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_forcing(sec: dict | None) -> ForcingSpec | None:
-    if sec is None:
-        return None
+def _build(cls, sec: dict, path: str, extra=(), use_defaults: bool = True):
+    """Dataclass `cls` from the same-named keys of `sec`, validated by `cls`.
+
+    Fields with defaults are optional when `use_defaults`; keys in `extra`
+    are allowed here and read by the caller.
+    """
+    specs = fields(cls)
+    _reject_unknown(sec, {*extra, *(f.name for f in specs)}, path + ".")
+    values = {
+        f.name: _field(
+            sec, f.name, path, _READERS[f.type], f.default if use_defaults else MISSING
+        )
+        for f in specs
+    }
+    return _construct(cls, path, **values)
+
+
+def _typed_class(sec: dict, path: str, table: dict):
+    """The dataclass named by sec["type"], or None for type "none"."""
     kind = sec.get("type")
     if kind == "none":
-        _reject_unknown(sec, {"type"}, "forcing.")
+        _reject_unknown(sec, {"type"}, path + ".")
         return None
-    if kind == "constant":
-        _reject_unknown(sec, {"type", "value"}, "forcing.")
-        return ConstantForcing(_number(sec, "value", "forcing"))
-    if kind == "sine":
-        _reject_unknown(sec, {"type", "amplitude", "omega", "phase"}, "forcing.")
-        return SineForcing(
-            _number(sec, "amplitude", "forcing"),
-            _number(sec, "omega", "forcing"),
-            _number(sec, "phase", "forcing", default=0.0),
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(
+            f"{path}.type: expected one of none, {', '.join(table)}; got {kind!r}"
         )
-    if kind == "samples":
-        _reject_unknown(sec, {"type", "path"}, "forcing.")
-        path = sec.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("forcing.path: expected a non-empty file path")
-        return SamplesForcing(path)
-    raise ConfigError(
-        f"forcing.type: expected one of none, constant, sine, samples; got {kind!r}"
-    )
+    return table[kind]
+
+
+def _positive(value: float, label: str) -> float:
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"{label} must be a positive number, got {value}")
+    return value
 
 
 def parse_config(doc) -> ScenarioConfig:
@@ -244,93 +217,62 @@ def parse_config(doc) -> ScenarioConfig:
         raise ConfigError("top-level config must be a JSON object")
     _reject_unknown(doc, {"params", "initial", "history", "forcing", "grid"}, "")
 
-    psec = _section(doc, "params")
-    _reject_unknown(psec, {"m", "c", "k", "mu"}, "params.")
-    try:
-        params = OscillatorParams(
-            m=_number(psec, "m", "params"),
-            c=_number(psec, "c", "params"),
-            k=_number(psec, "k", "params"),
-            mu=_number(psec, "mu", "params"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    params = _build(OscillatorParams, _section(doc, "params"), "params")
 
     isec = _section(doc, "initial", required=False)
-    if isec is None:
-        initial = InitialState(0.0, 0.0)
-    else:
-        _reject_unknown(isec, {"x0", "v0"}, "initial.")
-        try:
-            initial = InitialState(
-                _number(isec, "x0", "initial"), _number(isec, "v0", "initial")
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"initial: {exc}") from exc
+    initial = InitialState()
+    if isec is not None:
+        initial = _build(InitialState, isec, "initial", use_defaults=False)
 
-    history = _parse_history(_section(doc, "history", required=False))
-    forcing = _parse_forcing(_section(doc, "forcing", required=False))
+    history = None
+    hsec = _section(doc, "history", required=False)
+    if hsec is not None and (shape_cls := _typed_class(hsec, "history", _HISTORY_TYPES)):
+        a = _field(hsec, "a", "history")
+        shape = _build(shape_cls, hsec, "history", extra=("type", "a"))
+        history = _construct(HistoryProfile, "history", a, shape)
+
+    forcing = None
+    fsec = _section(doc, "forcing", required=False)
+    if fsec is not None and (forcing_cls := _typed_class(fsec, "forcing", _FORCING_TYPES)):
+        forcing = _build(forcing_cls, fsec, "forcing", extra=("type",))
 
     gsec = _section(doc, "grid", required=False)
     t_end = dt = None
     if gsec is not None:
         _reject_unknown(gsec, {"t_end", "dt"}, "grid.")
-        t_end = _number(gsec, "t_end", "grid")
-        dt = _number(gsec, "dt", "grid")
-        if not math.isfinite(t_end) or t_end <= 0:
-            raise ConfigError(f"grid.t_end: must be a positive number, got {t_end}")
-        if not math.isfinite(dt) or dt <= 0:
-            raise ConfigError(f"grid.dt: must be a positive number, got {dt}")
+        t_end = _field(gsec, "t_end", "grid")
+        dt = _field(gsec, "dt", "grid")
+        _positive(t_end, "grid.t_end:")
+        _positive(dt, "grid.dt:")
 
     return ScenarioConfig(params, initial, history, forcing, t_end, dt)
 
 
-def _serialize_history(history: HistoryProfile | None) -> dict:
-    if history is None:
-        return {"type": "none"}
-    shape = history.shape
-    if isinstance(shape, Constant):
-        return {"type": "constant", "a": history.a, "value": shape.value}
-    if isinstance(shape, Sine):
-        return {
-            "type": "sine", "a": history.a,
-            "amplitude": shape.amplitude, "omega": shape.omega, "phase": shape.phase,
-        }
-    if isinstance(shape, Polynomial):
-        return {"type": "polynomial", "a": history.a, "coeffs": list(shape.coeffs)}
-    out = {"type": "samples", "a": history.a, "values": list(shape.values)}
-    if shape.spacing is not None:
-        out["spacing"] = shape.spacing
+def _fields(obj) -> dict:
+    """A dataclass's fields as JSON values: tuples become lists, None is left out."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-def _serialize_forcing(forcing: ForcingSpec | None) -> dict:
-    if forcing is None:
-        return {"type": "none"}
-    if isinstance(forcing, ConstantForcing):
-        return {"type": "constant", "value": forcing.value}
-    if isinstance(forcing, SineForcing):
-        return {
-            "type": "sine", "amplitude": forcing.amplitude,
-            "omega": forcing.omega, "phase": forcing.phase,
-        }
-    return {"type": "samples", "path": forcing.path}
+def _typed_section(table: dict, obj, **extra) -> dict:
+    kind = next(name for name, cls in table.items() if type(obj) is cls)
+    return {"type": kind, **extra, **_fields(obj)}
 
 
 def serialize_config(cfg: ScenarioConfig) -> dict:
     """Canonical JSON form; parse_config(serialize_config(cfg)) == cfg."""
+    history = cfg.history
     doc = {
-        "params": {
-            "m": cfg.params.m, "c": cfg.params.c,
-            "k": cfg.params.k, "mu": cfg.params.mu,
-        },
-        "initial": {"x0": cfg.initial.x0, "v0": cfg.initial.v0},
-        "history": _serialize_history(cfg.history),
-        "forcing": _serialize_forcing(cfg.forcing),
+        "params": _fields(cfg.params),
+        "initial": _fields(cfg.initial),
+        "history": {"type": "none"} if history is None
+        else _typed_section(_HISTORY_TYPES, history.shape, a=history.a),
+        "forcing": {"type": "none"} if cfg.forcing is None
+        else _typed_section(_FORCING_TYPES, cfg.forcing),
     }
     if cfg.t_end is not None and cfg.dt is not None:
         doc["grid"] = {"t_end": cfg.t_end, "dt": cfg.dt}
@@ -355,10 +297,6 @@ def load_config(path) -> ScenarioConfig:
 # CSV and JSON emission. repr floats round-trip exactly.
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_text(path, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -367,24 +305,15 @@ def _write_text(path, text: str):
         raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _trajectory_csv(traj) -> str:
-    lines = ["t,x,xdot,psi"]
-    t = traj.t
-    for i in range(len(traj)):
-        lines.append(
-            f"{_fmt(t[i])},{_fmt(traj.x[i])},{_fmt(traj.xdot[i])},{_fmt(traj.psi[i])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _bounds_csv(report) -> str:
-    lines = ["t,I1_abs,B1,I2_abs,B2,ok1,ok2"]
-    for i in range(len(report.t)):
-        lines.append(
-            f"{_fmt(report.t[i])},{_fmt(report.i1_abs[i])},{_fmt(report.b1[i])},"
-            f"{_fmt(report.i2_abs[i])},{_fmt(report.b2[i])},"
-            f"{int(report.ok1[i])},{int(report.ok2[i])}"
-        )
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """One row per index, formatted lazily so that no column becomes a
+    Python list: flag columns as 0/1, numbers with repr."""
+    cells = [
+        map(str, map(int, col)) if col.dtype == bool else map(repr, map(float, col))
+        for col in columns
+    ]
+    lines = [header]
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -432,36 +361,26 @@ def _emit_json(doc: dict, out_path) -> str:
 # Commands.
 
 
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    t_end = getattr(args, "t_end", None)
-    dt = getattr(args, "dt", None)
-    if t_end is not None:
-        if not math.isfinite(t_end) or t_end <= 0:
-            raise ConfigError(f"--t-end must be a positive number, got {t_end}")
-        cfg = replace(cfg, t_end=t_end)
-    if dt is not None:
-        if not math.isfinite(dt) or dt <= 0:
-            raise ConfigError(f"--dt must be a positive number, got {dt}")
-        cfg = replace(cfg, dt=dt)
-    return cfg
-
-
-def _require_grid(cfg: ScenarioConfig) -> tuple[float, float]:
-    if cfg.t_end is None or cfg.dt is None:
+def _load_gridded(args) -> tuple[ScenarioConfig, float, float]:
+    """The config with its grid, after the --t-end/--dt overrides."""
+    cfg = load_config(args.config)
+    t_end = cfg.t_end if args.t_end is None else _positive(args.t_end, "--t-end")
+    dt = cfg.dt if args.dt is None else _positive(args.dt, "--dt")
+    if t_end is None or dt is None:
         raise ConfigError(
             "grid: missing required section (set grid.t_end and grid.dt, "
             "or pass --t-end and --dt)"
         )
-    return cfg.t_end, cfg.dt
+    return cfg, t_end, dt
 
 
 def _realize_forcing(forcing: ForcingSpec | None, t: np.ndarray, config_dir: Path):
     if forcing is None:
         return None
-    if isinstance(forcing, ConstantForcing):
+    if isinstance(forcing, Constant):
         value = forcing.value
         return lambda ti: value
-    if isinstance(forcing, SineForcing):
+    if isinstance(forcing, Sine):
         amplitude, omega, phase = forcing.amplitude, forcing.omega, forcing.phase
         return lambda ti: amplitude * math.sin(omega * ti + phase)
     path = Path(forcing.path)
@@ -492,23 +411,13 @@ def _cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_respond(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    t_end, dt = _require_grid(cfg)
+def _cmd_trajectory(args, solve) -> int:
+    """respond (solve = forced_response) and oracle (solve = integrate)."""
+    cfg, t_end, dt = _load_gridded(args)
     t = time_grid(t_end, dt)
     forcing = _realize_forcing(cfg.forcing, t, Path(args.config).resolve().parent)
-    traj = forced_response(cfg.params, cfg.initial, cfg.history, forcing, t_end, dt)
-    _write_text(args.out, _trajectory_csv(traj))
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    t_end, dt = _require_grid(cfg)
-    t = time_grid(t_end, dt)
-    forcing = _realize_forcing(cfg.forcing, t, Path(args.config).resolve().parent)
-    traj = integrate(cfg.params, cfg.initial, cfg.history, forcing, t_end, dt)
-    _write_text(args.out, _trajectory_csv(traj))
+    traj = solve(cfg.params, cfg.initial, cfg.history, forcing, t_end, dt)
+    _write_text(args.out, _csv("t,x,xdot,psi", traj.t, traj.x, traj.xdot, traj.psi))
     return EXIT_OK
 
 
@@ -539,10 +448,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    t_end, dt = _require_grid(cfg)
+    cfg, t_end, dt = _load_gridded(args)
     report = verify_decay(cfg.params, cfg.initial, cfg.history, t_end, dt)
-    _write_text(args.out, _bounds_csv(report))
+    columns = (report.i1_abs, report.b1, report.i2_abs, report.b2, report.ok1, report.ok2)
+    _write_text(args.out, _csv("t,I1_abs,B1,I2_abs,B2,ok1,ok2", report.t, *columns))
     summary = {
         "rows": int(len(report.t)),
         "bounds_ok": report.bounds_ok,
@@ -597,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     handlers = {
         "eigen": _cmd_eigen,
-        "respond": _cmd_respond,
-        "oracle": _cmd_oracle,
+        "respond": partial(_cmd_trajectory, solve=forced_response),
+        "oracle": partial(_cmd_trajectory, solve=integrate),
         "bounds": _cmd_bounds,
         "compare": _cmd_compare,
     }

@@ -63,10 +63,6 @@ class CharacteristicPolynomial:
         c3, c2, c1, _ = self.coefficients
         return (3.0 * c3 * s + 2.0 * c2) * s + c1
 
-    def monic(self) -> tuple[float, float, float]:
-        c3, c2, c1, c0 = self.coefficients
-        return (c2 / c3, c1 / c3, c0 / c3)
-
 
 def characteristic_poly(params: OscillatorParams) -> CharacteristicPolynomial:
     """Cubic obtained by clearing the (mu+s) denominator from the
@@ -171,8 +167,8 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
         _validate(params, poly, eig)
         return eig
 
-    a2, a1, a0 = poly.monic()
-    raw = np.roots([1.0, a2, a1, a0])
+    c3, c2, c1, c0 = poly.coefficients
+    raw = np.roots([1.0, c2 / c3, c1 / c3, c0 / c3])
     roots = [_polish(poly, complex(r)) for r in raw]
 
     scale = max(abs(r) for r in roots)
@@ -229,11 +225,16 @@ def _validate(params, poly, eig):
 
 
 def _real_part(z):
-    """Strip a provably-cancelling imaginary part, asserting it is noise."""
+    """Strip a provably-cancelling imaginary part; DegenerateSpectrum if it is
+    more than noise (the conjugate residues lost their symmetry)."""
     z = np.asarray(z)
-    assert np.all(np.abs(z.imag) <= 1e-10 * np.abs(z.real) + 1e-12), (
-        "imaginary part failed to cancel in an exponential-sum evaluation"
-    )
+    im, re_abs = np.abs(z.imag), np.abs(z.real)
+    if not np.all(im <= 1e-10 * re_abs + 1e-12):
+        ratio = float(np.max(im / (re_abs + 1e-12)))
+        raise DegenerateSpectrum(
+            "imaginary part failed to cancel in an exponential-sum evaluation "
+            f"(largest |imag|/|real| = {ratio:.3g}, tolerance 1e-10)"
+        )
     re = np.asarray(z.real, dtype=float)
     return re if re.ndim else float(re)
 

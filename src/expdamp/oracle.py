@@ -17,25 +17,15 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepTooLarge
 from .history import history_weight
 from .model import HistoryProfile, InitialState, OscillatorParams
-from .response import Trajectory, time_grid
+from .response import Trajectory, _forcing_on_grid, time_grid
 
-__all__ = ["AugmentedState", "integrate", "convolution_check"]
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """ODE state: displacement, velocity, internal damping variable."""
-
-    x: float
-    v: float
-    y: float
+__all__ = ["integrate", "convolution_check"]
 
 
 def _resolution_limit(params: OscillatorParams) -> float:
@@ -54,23 +44,14 @@ def _resolution_limit(params: OscillatorParams) -> float:
 
 
 def _forcing_arrays(forcing, t: np.ndarray, dt: float):
-    n = len(t) - 1
+    # Node values and the step-midpoint values RK4 needs; samples have no
+    # midpoints, so those are averaged.
     if forcing is None:
-        return np.zeros(n + 1), np.zeros(n)
+        return np.zeros(len(t)), np.zeros(len(t) - 1)
+    nodes = _forcing_on_grid(forcing, t)
     if callable(forcing):
-        nodes = np.asarray([float(forcing(ti)) for ti in t], dtype=float)
-        mid = np.asarray([float(forcing(ti + 0.5 * dt)) for ti in t[:-1]], dtype=float)
-    else:
-        nodes = np.asarray(forcing, dtype=float)
-        if nodes.shape != t.shape:
-            raise ValueError(
-                f"sampled forcing has {nodes.shape[0] if nodes.ndim else 0} values, "
-                f"grid has {len(t)}"
-            )
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(mid))):
-        raise ValueError("forcing must be finite on the whole grid")
-    return nodes, mid
+        return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
+    return nodes, 0.5 * (nodes[:-1] + nodes[1:])
 
 
 def integrate(
@@ -99,7 +80,6 @@ def integrate(
         w = history_weight(params.kernel, history).value
     f_nodes, f_mid = _forcing_arrays(forcing, t, dt)
 
-    start = AugmentedState(x=state.x0, v=state.v0, y=w)
     m, c, k, mu = params.m, params.c, params.k, params.mu
     inv_m = 1.0 / m
     half = 0.5 * dt
@@ -108,7 +88,7 @@ def integrate(
     xs = np.empty(n + 1)
     vs = np.empty(n + 1)
     ys = np.empty(n + 1)
-    x, v, y = start.x, start.v, start.y
+    x, v, y = state.x0, state.v0, w
     xs[0], vs[0], ys[0] = x, v, y
     for i in range(n):
         f0 = f_nodes[i]

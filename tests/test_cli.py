@@ -7,12 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from expdamp import cli
+from expdamp import Constant, Sine, cli
 from expdamp.cli import (
     ConfigError,
-    ConstantForcing,
     SamplesForcing,
-    SineForcing,
     load_config,
     parse_config,
     serialize_config,
@@ -56,8 +54,10 @@ def test_round_trip_all_history_shapes():
         {"type": "none"},
         {"type": "constant", "a": 1.0, "value": 2.0},
         {"type": "sine", "a": 2.0, "amplitude": 1.0, "omega": 3.0, "phase": 0.5},
+        {"type": "sine", "a": 2.0, "amplitude": 1.0, "omega": 3.0},
         {"type": "polynomial", "a": 1.5, "coeffs": [1.0, -0.5]},
         {"type": "samples", "a": 1.0, "values": [0.0, 1.0, 0.0], "spacing": 0.5},
+        {"type": "samples", "a": 1.0, "values": [0.0, 1.0, 0.0]},
     ]
     for hist in histories:
         doc = {**REF_DOC, "history": hist}
@@ -70,9 +70,16 @@ def test_round_trip_all_forcing_kinds():
         {"type": "none"},
         {"type": "constant", "value": 0.25},
         {"type": "sine", "amplitude": 1.0, "omega": 2.0, "phase": 0.0},
+        {"type": "sine", "amplitude": 1.0, "omega": 2.0},
         {"type": "samples", "path": "force.csv"},
     ]
-    expected = [None, ConstantForcing(0.25), SineForcing(1.0, 2.0, 0.0), SamplesForcing("force.csv")]
+    expected = [
+        None,
+        Constant(0.25),
+        Sine(1.0, 2.0, 0.0),
+        Sine(1.0, 2.0),
+        SamplesForcing("force.csv"),
+    ]
     for fsec, expect in zip(forcings, expected):
         cfg = parse_config({**REF_DOC, "forcing": fsec})
         assert cfg.forcing == expect
@@ -99,6 +106,14 @@ def test_invalid_values_rejected():
         parse_config({**REF_DOC, "grid": {"t_end": 5.0, "dt": 0.0}})
     with pytest.raises(ConfigError, match=r"history\.type"):
         parse_config({**REF_DOC, "history": {"type": "ramp", "a": 1.0}})
+    with pytest.raises(ConfigError, match="forcing"):
+        parse_config({**REF_DOC, "forcing": {"type": "constant", "value": math.inf}})
+
+
+def test_partial_initial_section_rejected():
+    # InitialState defaults both fields, but a given section must set both.
+    with pytest.raises(ConfigError, match=r"initial\.v0"):
+        parse_config({**REF_DOC, "initial": {"x0": 1.0}})
 
 
 def test_optional_sections_default():
@@ -313,6 +328,32 @@ def test_bounds_csv_and_summary(tmp_path, capsys):
     assert summary["envelope_ok"] is True
     assert summary["tail_ok"] is True
     assert summary["tail_x"] < 1e-6
+
+
+def test_csv_text_pinned(tmp_path):
+    # repr floats, flags as 1/0, LF line endings: the bytes other tools read.
+    cfg = _write_config(tmp_path, REF_DOC)
+    traj, bounds = tmp_path / "r.csv", tmp_path / "b.csv"
+    assert cli.main(["respond", "--config", cfg, "--out", str(traj)]) == 0
+    assert cli.main(["bounds", "--config", cfg, "--out", str(bounds)]) == 0
+    lines = traj.read_bytes().split(b"\n")
+    assert lines[:2] == [
+        b"t,x,xdot,psi",
+        b"0.0,0.9999999999999999,0.3000000000000002,0.8646647167633873",
+    ]
+    assert lines[-2:] == [
+        b"5.0,-0.28162455870953823,1.0076707645965002,3.925571740915665e-05",
+        b"",
+    ]
+    lines = bounds.read_bytes().split(b"\n")
+    assert lines[:2] == [b"t,I1_abs,B1,I2_abs,B2,ok1,ok2", b"0.0,0.0,0.0,0.0,0.0,1,1"]
+    assert lines[-2:] == [
+        b"5.0,0.01286865642324372,0.0615391303975949,"
+        b"6.684625389237475e-06,6.684625389237475e-06,1,1",
+        b"",
+    ]
+    flags = cli._csv("t,ok", np.array([0.5, 1e-20]), np.array([True, False]))
+    assert flags == "t,ok\n0.5,1\n1e-20,0\n"
 
 
 def test_bounds_non_oscillatory_exits_3(tmp_path, capsys):

@@ -16,6 +16,7 @@ from expdamp import (
     integrate,
     solve_eigen,
 )
+from expdamp.eigen import _real_part
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -142,6 +143,12 @@ def test_viscous_double_root_rejected():
     # mu >> k/c: kernel acts viscous, c=2 k=1 m=1 gives a double root at -1
     with pytest.raises(DegenerateSpectrum):
         solve_eigen(OscillatorParams(m=1.0, c=2.0, k=1.0, mu=1e6))
+
+
+def test_real_part_rejects_uncancelled_imaginary_part():
+    assert _real_part(np.array([1.0 + 1e-13j, -2.0 + 0j])).tolist() == [1.0, -2.0]
+    with pytest.raises(DegenerateSpectrum, match="imaginary"):
+        _real_part(np.array([1.0 + 0j, 2.0 + 1e-3j]))
 
 
 def test_viscous_limit_recovers_damped_pair():

@@ -1,12 +1,17 @@
 """Closed-form response assembly, trajectories, and forced convolution."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import expdamp
 from expdamp import (
     Constant,
     HistoryProfile,
@@ -219,6 +224,28 @@ def test_forced_response_rejects_bad_forcing():
     bad[3] = math.inf
     with pytest.raises(ValueError):
         forced_response(REFERENCE, REF_STATE, None, bad, 5.0, 1e-2)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_near_double_root_raises_typed_error(flags):
+    # (s+1)^2 (s+3) with c scaled by 1+1e-8: solve_eigen accepts it, but the
+    # modal sums miss x0 and v0 by ~1e-4. The check must survive python -O.
+    code = (
+        "from expdamp import DegenerateSpectrum, InitialState, OscillatorParams, "
+        "forced_response\n"
+        "p = OscillatorParams(m=1.0, c=1.28 * (1.0 + 1e-8), k=0.6, mu=5.0)\n"
+        "try:\n"
+        "    forced_response(p, InitialState(1.0, 0.0), None, None, 5.0, 1e-3)\n"
+        "except DegenerateSpectrum as exc:\n"
+        "    print('DegenerateSpectrum:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(expdamp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("DegenerateSpectrum: closed form misses")
 
 
 def test_trajectory_starts_at_initial_state():
