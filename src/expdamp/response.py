@@ -242,34 +242,62 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     return values
 
 
+# The forced scan takes the grid _CHUNK steps at a time, in blocks of
+# _BLOCK steps, so its temporaries keep one size whatever the grid length.
+_BLOCK = 64
+_CHUNK = _BLOCK * _BLOCK
+
+
+def _toeplitz_powers(log_d, size):
+    # Powers d**k = exp(k*log_d), k = 0..size, per mode, and the upper-
+    # triangular Toeplitz matrices U[l, j] = d**(j-l) for which g @ U scans
+    # C_j = d*C_{j-1} + g_j over `size` steps.  Re(log_d) <= 0, so no power
+    # overflows.
+    powers = np.exp(np.multiply.outer(log_d, np.arange(size + 1)))
+    lag = np.arange(size) - np.arange(size)[:, None]
+    return powers, np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0)
+
+
 def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
     """Trapezoid convolutions (h*f, hdot*f) on the uniform grid.
 
-    Per-mode recursion C <- exp(s*dt)*(C + dt/2*f_n) + dt/2*f_{n+1}
-    reproduces the trapezoid sum of exp(s*(t-tau))*f(tau) exactly while
-    staying O(n) and overflow-free.
+    Each mode obeys C_i = d*C_{i-1} + g_i with d = exp(s*dt) and
+    g_i = dt/2*(d*f_{i-1} + f_i), which reproduces the trapezoid sum of
+    exp(s*(t-tau))*f(tau) exactly.  The recurrence is scanned in blocks of
+    _BLOCK steps: inside a block the scan is one matmul with the Toeplitz
+    matrix of powers d**(j-l); each block's end value enters the next one
+    scaled by d**(j+1), and the end values themselves are scanned the same
+    way with d**_BLOCK.  Python iterates once per chunk of _CHUNK steps,
+    and nothing it allocates grows with len(f) beyond the two output rows.
     """
-    n = len(f)
-    roots = eig.roots
-    residues = eig.residues
-    decay = [np.exp(s * dt) for s in roots]
+    roots = np.array(eig.roots)
+    residues = np.array(eig.residues)
+    log_d = roots * dt
+    step_pow, step_scan = _toeplitz_powers(log_d, _BLOCK)
+    d = step_pow[:, 1]
+    block_pow, block_scan = _toeplitz_powers(log_d * _BLOCK, _CHUNK // _BLOCK)
+    weights = np.stack([residues, residues * roots])
     half = 0.5 * dt
-    c = [0j, 0j, 0j]
-    conv_x = np.zeros(n, dtype=complex)
-    conv_v = np.zeros(n, dtype=complex)
-    for i in range(1, n):
-        f_prev = f[i - 1]
-        f_here = f[i]
-        zx = 0j
-        zv = 0j
-        for j in range(3):
-            cj = decay[j] * (c[j] + half * f_prev) + half * f_here
-            c[j] = cj
-            zx += residues[j] * cj
-            zv += residues[j] * roots[j] * cj
-        conv_x[i] = zx
-        conv_v[i] = zv
-    return _real_part(conv_x), _real_part(conv_v)
+    out = np.zeros((2, len(f)))
+    carry = np.zeros(3, dtype=complex)
+    for start in range(1, len(f), _CHUNK):
+        size = min(_CHUNK, len(f) - start)
+        blocks = -(-size // _BLOCK)
+        g = np.zeros((3, blocks * _BLOCK), dtype=complex)
+        g[:, :size] = half * (
+            np.multiply.outer(d, f[start - 1 : start - 1 + size])
+            + f[start : start + size]
+        )
+        local = g.reshape(3, blocks, _BLOCK) @ step_scan
+        ends = (local[:, None, :, -1] @ block_scan[:, :blocks, :blocks])[:, 0]
+        ends += block_pow[:, 1 : blocks + 1] * carry[:, None]
+        entering = np.concatenate([carry[:, None], ends[:, :-1]], axis=1)
+        local += step_pow[:, None, 1:] * entering[:, :, None]
+        out[:, start : start + size] = _real_part(
+            weights @ local.reshape(3, -1)[:, :size]
+        )
+        carry = ends[:, -1]
+    return out[0], out[1]
 
 
 def forced_response(

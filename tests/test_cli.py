@@ -196,10 +196,15 @@ def test_missing_field_exits_2(tmp_path, capsys):
 
 
 def test_degenerate_spectrum_exits_3(tmp_path, capsys):
-    doc = {"params": {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0}}
-    code = cli.main(["eigen", "--config", _write_config(tmp_path, doc)])
-    assert code == 3
-    assert "DegenerateSpectrum" in capsys.readouterr().err
+    # an exact double root, and a near-double root whose residues cancel
+    for params in (
+        {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
+        {"m": 4.790023392299111, "c": 2.370884056303661,
+         "k": 0.315554155795794, "mu": 7.308450407297674},
+    ):
+        code = cli.main(["eigen", "--config", _write_config(tmp_path, {"params": params})])
+        assert code == 3
+        assert "DegenerateSpectrum" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):
@@ -283,11 +288,13 @@ def test_compare_file_with_itself(tmp_path, capsys):
 
 
 def test_respond_deterministic(tmp_path):
-    cfg = _write_config(tmp_path, REF_DOC)
-    a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    assert cli.main(["respond", "--config", cfg, "--out", str(a)]) == 0
-    assert cli.main(["respond", "--config", cfg, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # the forced convolution runs through BLAS; its output must not vary
+    for forcing in ({"type": "none"}, {"type": "sine", "amplitude": 1.0, "omega": 2.0}):
+        cfg = _write_config(tmp_path, {**REF_DOC, "forcing": forcing})
+        a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        assert cli.main(["respond", "--config", cfg, "--out", str(a)]) == 0
+        assert cli.main(["respond", "--config", cfg, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_grid_overrides_change_row_count(tmp_path):

@@ -145,6 +145,16 @@ def test_viscous_double_root_rejected():
         solve_eigen(OscillatorParams(m=1.0, c=2.0, k=1.0, mu=1e6))
 
 
+def test_near_double_root_residue_cancellation_rejected():
+    # roots -0.26660 and -0.26655 pass the separation and conditioning
+    # gates, but their residues cancel to only ~1e-8 of their size
+    p = OscillatorParams(
+        m=4.790023392299111, c=2.370884056303661, k=0.315554155795794, mu=7.308450407297674
+    )
+    with pytest.raises(DegenerateSpectrum, match=r"residues cancel to \|sum R\|/max\|R\|"):
+        solve_eigen(p)
+
+
 def test_real_part_rejects_uncancelled_imaginary_part():
     assert _real_part(np.array([1.0 + 1e-13j, -2.0 + 0j])).tolist() == [1.0, -2.0]
     with pytest.raises(DegenerateSpectrum, match="imaginary"):

@@ -1,5 +1,6 @@
 """Closed-form response assembly, trajectories, and forced convolution."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -30,6 +31,7 @@ from expdamp import (
     solve_eigen,
     time_grid,
 )
+from expdamp.response import _CHUNK, _forced_convolution
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -224,6 +226,47 @@ def test_forced_response_rejects_bad_forcing():
     bad[3] = math.inf
     with pytest.raises(ValueError):
         forced_response(REFERENCE, REF_STATE, None, bad, 5.0, 1e-2)
+
+
+def _trapezoid_recursion(eig, f, dt):
+    # Reference for the blocked scan: the per-mode trapezoid recursion
+    # C <- exp(s*dt)*(C + dt/2*f_prev) + dt/2*f_here, one step at a time.
+    decay = [cmath.exp(s * dt) for s in eig.roots]
+    c = [0j, 0j, 0j]
+    conv_x, conv_v = [0.0], [0.0]
+    for f_prev, f_here in zip(f[:-1], f[1:]):
+        c = [d * (cj + 0.5 * dt * f_prev) + 0.5 * dt * f_here for d, cj in zip(decay, c)]
+        conv_x.append(sum(r * cj for r, cj in zip(eig.residues, c)).real)
+        conv_v.append(sum(r * s * cj for r, s, cj in zip(eig.residues, eig.roots, c)).real)
+    return np.array(conv_x), np.array(conv_v)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [REFERENCE, OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0), FACTORED],
+    ids=["damped-pair", "three-real", "undamped"],
+)
+@pytest.mark.parametrize(
+    "n", [2, 3, 63, 64, 65, 66, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+)
+def test_forced_convolution_matches_recursion(params, n):
+    # grid lengths straddle one block (64 steps) and one chunk (_CHUNK
+    # steps); the undamped case has |exp(s*dt)| = 1 and a zero kernel residue
+    eig = solve_eigen(params)
+    dt = 0.01
+    t = np.arange(n) * dt
+    f = np.cos(1.3 * t) + np.random.default_rng(n).uniform(-0.5, 0.5, n)
+    for got, want in zip(_forced_convolution(eig, f, dt), _trapezoid_recursion(eig, f, dt)):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_forced_response_undamped_resonance():
+    # m=k=1, c=0, f=sin t drives the pair at its own frequency: from rest,
+    # x = (sin t - t cos t)/2 and v = t sin t/2 grow without bound
+    traj = forced_response(FACTORED, InitialState(0.0, 0.0), None, math.sin, 50.0, 1e-3)
+    t = traj.t
+    assert np.max(np.abs(traj.x - (np.sin(t) - t * np.cos(t)) / 2.0)) <= 1e-6
+    assert np.max(np.abs(traj.xdot - t * np.sin(t) / 2.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
