@@ -375,14 +375,9 @@ def _load_gridded(args) -> tuple[ScenarioConfig, float, float]:
 
 
 def _realize_forcing(forcing: ForcingSpec | None, t: np.ndarray, config_dir: Path):
-    if forcing is None:
-        return None
-    if isinstance(forcing, Constant):
-        value = forcing.value
-        return lambda ti: value
-    if isinstance(forcing, Sine):
-        amplitude, omega, phase = forcing.amplitude, forcing.omega, forcing.phase
-        return lambda ti: amplitude * math.sin(omega * ti + phase)
+    # None and the Constant/Sine specs go to the solvers as they are.
+    if not isinstance(forcing, SamplesForcing):
+        return forcing
     path = Path(forcing.path)
     if not path.is_absolute():
         path = config_dir / path

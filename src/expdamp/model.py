@@ -204,20 +204,26 @@ def kernel_eval(kernel: ExponentialKernel, t):
     return out if out.ndim else float(out)
 
 
+def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
+    # The analytic shapes at float times t; history velocities and forcing
+    # specs both evaluate through here.
+    if isinstance(shape, Constant):
+        return np.full_like(t, shape.value)
+    if isinstance(shape, Sine):
+        return shape.amplitude * np.sin(shape.omega * t + shape.phase)
+    return np.polynomial.polynomial.polyval(t, shape.coeffs)
+
+
 def history_eval(profile: HistoryProfile, t):
     """Evaluate the history velocity v(t) for t in [-a, 0] (scalar or array)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < -profile.a) or np.any(t > 0):
         raise ValueError(f"history time must lie in [-{profile.a}, 0]")
     shape = profile.shape
-    if isinstance(shape, Constant):
-        out = np.full_like(t, shape.value)
-    elif isinstance(shape, Sine):
-        out = shape.amplitude * np.sin(shape.omega * t + shape.phase)
-    elif isinstance(shape, Polynomial):
-        out = np.polynomial.polynomial.polyval(t, shape.coeffs)
-    else:
+    if isinstance(shape, Samples):
         out = np.interp(t, profile.grid(), shape.values)
+    else:
+        out = _shape_eval(shape, t)
     out = np.asarray(out, dtype=float)
     return out if out.ndim else float(out)
 

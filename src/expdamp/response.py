@@ -26,7 +26,14 @@ from .eigen import (
     _real_part,
 )
 from .history import history_weight
-from .model import HistoryProfile, InitialState, OscillatorParams
+from .model import (
+    Constant,
+    HistoryProfile,
+    InitialState,
+    OscillatorParams,
+    Sine,
+    _shape_eval,
+)
 
 __all__ = [
     "Trajectory",
@@ -228,7 +235,9 @@ def response_terms(
 
 
 def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
-    if callable(forcing):
+    if isinstance(forcing, (Constant, Sine)):
+        values = _shape_eval(forcing, t)
+    elif callable(forcing):
         values = np.asarray([float(forcing(ti)) for ti in t], dtype=float)
     else:
         values = np.asarray(forcing, dtype=float)
@@ -311,7 +320,8 @@ def forced_response(
     """Trajectory on [0, t_end]: initialization response plus h*f.
 
     forcing may be None (pure initialization response, closed form per
-    point), a callable f(t), or an array of samples on the grid.
+    point), a Constant or Sine spec, a callable f(t), or an array of
+    samples on the grid.
     """
     eig = solve_eigen(params)
     w = _weight_value(params, history)

@@ -10,13 +10,15 @@ from expdamp import (
     HistoryProfile,
     InitialState,
     OscillatorParams,
+    Sine,
     StepTooLarge,
     convolution_check,
     forced_response,
     history_weight,
     integrate,
+    time_grid,
 )
-from expdamp.oracle import _kernel_trapezoid_convolution
+from expdamp.oracle import _kernel_trapezoid_convolution, _resolution_limit
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -135,3 +137,86 @@ def test_forced_oracle_matches_closed_form():
     a = integrate(REFERENCE, REF_STATE, REF_HISTORY, f, 10.0, 1e-3)
     b = forced_response(REFERENCE, REF_STATE, REF_HISTORY, f, 10.0, 1e-3)
     assert np.max(np.abs(a.x - b.x)) < 1e-5
+
+
+def _staged_rk4(params, state, w, f_nodes, f_mid, dt):
+    # Reference: the four RK4 stages worked out anew on every step.
+    m, c, k, mu = params.m, params.c, params.k, params.mu
+    inv_m = 1.0 / m
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    n = len(f_nodes) - 1
+    xs = np.empty(n + 1)
+    vs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    x, v, y = state.x0, state.v0, w
+    xs[0], vs[0], ys[0] = x, v, y
+    for i in range(n):
+        f0 = f_nodes[i]
+        fm = f_mid[i]
+        f1 = f_nodes[i + 1]
+        dx1 = v
+        dv1 = (f0 - c * y - k * x) * inv_m
+        dy1 = mu * (v - y)
+        x2 = x + half * dx1
+        v2 = v + half * dv1
+        y2 = y + half * dy1
+        dx2 = v2
+        dv2 = (fm - c * y2 - k * x2) * inv_m
+        dy2 = mu * (v2 - y2)
+        x3 = x + half * dx2
+        v3 = v + half * dv2
+        y3 = y + half * dy2
+        dx3 = v3
+        dv3 = (fm - c * y3 - k * x3) * inv_m
+        dy3 = mu * (v3 - y3)
+        x4 = x + dt * dx3
+        v4 = v + dt * dv3
+        y4 = y + dt * dy3
+        dx4 = v4
+        dv4 = (f1 - c * y4 - k * x4) * inv_m
+        dy4 = mu * (v4 - y4)
+        x += sixth * (dx1 + 2.0 * (dx2 + dx3) + dx4)
+        v += sixth * (dv1 + 2.0 * (dv2 + dv3) + dv4)
+        y += sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4)
+        xs[i + 1], vs[i + 1], ys[i + 1] = x, v, y
+    return xs, vs, ys
+
+
+_GUARD_DT = 0.99 * _resolution_limit(REFERENCE)
+_SAMPLED = np.random.default_rng(5).normal(size=2001)
+
+
+@pytest.mark.parametrize(
+    "params, history, forcing, t_end, dt",
+    [
+        (REFERENCE, REF_HISTORY, None, 5.0, 1e-3),
+        (
+            OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0),
+            HistoryProfile(a=1.5, shape=Sine(0.7, 3.0, 0.4)),
+            None,
+            5.0,
+            1e-3,
+        ),
+        (FACTORED, None, None, 50.0, 1e-3),
+        (REFERENCE, REF_HISTORY, None, 400 * _GUARD_DT, _GUARD_DT),
+        (REFERENCE, REF_HISTORY, lambda t: math.sin(2.0 * t), 5.0, 1e-3),
+        (REFERENCE, REF_HISTORY, _SAMPLED, 2.0, 1e-3),
+    ],
+    ids=["damped-pair", "three-real", "undamped-5e4", "step-guard", "callable", "sampled"],
+)
+def test_step_map_matches_staged_loop(params, history, forcing, t_end, dt):
+    traj = integrate(params, REF_STATE, history, forcing, t_end, dt)
+    t = time_grid(t_end, dt)
+    step = float(t[1])
+    if forcing is None:
+        f_nodes, f_mid = np.zeros(len(t)), np.zeros(len(t) - 1)
+    elif callable(forcing):
+        f_nodes = np.array([forcing(ti) for ti in t])
+        f_mid = np.array([forcing(ti + 0.5 * step) for ti in t[:-1]])
+    else:
+        f_nodes, f_mid = forcing, 0.5 * (forcing[:-1] + forcing[1:])
+    w = 0.0 if history is None else history_weight(params.kernel, history).value
+    ref = _staged_rk4(params, REF_STATE, w, f_nodes, f_mid, step)
+    for got, want in zip((traj.x, traj.xdot, traj.y), ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expdamp
@@ -71,6 +71,9 @@ def test_time_grid_validation():
     t_end=st.floats(min_value=1e-3, max_value=1e3),
     dt=st.floats(min_value=1e-4, max_value=10.0),
 )
+# t_end=1e3 with dt=1e-4 builds a 1e7-point grid, which can take longer
+# than hypothesis's default 200 ms deadline.
+@settings(deadline=None)
 def test_time_grid_properties(t_end, dt):
     g = time_grid(t_end, dt)
     assert len(g) >= 2
@@ -217,6 +220,21 @@ def test_forced_response_accepts_sampled_forcing():
     a = forced_response(REFERENCE, REF_STATE, None, samples, 5.0, 1e-2)
     b = forced_response(REFERENCE, REF_STATE, None, lambda ti: math.sin(2.0 * ti), 5.0, 1e-2)
     assert np.array_equal(a.x, b.x)
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [
+        (Constant(0.75), lambda t: 0.75),
+        (Sine(1.3, 2.0, 0.4), lambda t: 1.3 * math.sin(2.0 * t + 0.4)),
+    ],
+)
+@pytest.mark.parametrize("solve", [forced_response, integrate])
+def test_forcing_spec_matches_callable(spec, f, solve):
+    a = solve(REFERENCE, REF_STATE, REF_HISTORY, spec, 5.0, 1e-3)
+    b = solve(REFERENCE, REF_STATE, REF_HISTORY, f, 5.0, 1e-3)
+    for got, want in ((a.x, b.x), (a.xdot, b.xdot)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_forced_response_rejects_bad_forcing():
