@@ -335,11 +335,14 @@ def _read_csv_columns(path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
                 raise ConfigError(f"{path} line {lineno}: expected {len(names)} columns")
             for i in range(len(names)):
                 try:
-                    cols[i].append(float(row[i]))
+                    value = float(row[i])
                 except ValueError:
                     raise ConfigError(
                         f"{path} line {lineno}: {row[i]!r} is not a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ConfigError(f"{path} line {lineno}: {row[i]!r} is not finite")
+                cols[i].append(value)
     if not cols[0]:
         raise ConfigError(f"{path}: no data rows")
     return {name: np.asarray(col, dtype=float) for name, col in zip(names, cols)}

@@ -54,6 +54,20 @@ def _forcing_arrays(forcing, t: np.ndarray, dt: float):
     return nodes, 0.5 * (nodes[:-1] + nodes[1:])
 
 
+def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # z_i <- p @ z_{i-1} + z_i along the columns, in place, by doubling:
+    # after the pass with lag k, column i holds p**j @ z_{i-j} summed over
+    # its last 2k terms.  Powers of p are squared in long double, because
+    # squared in float64 they drift like lag*eps.
+    power = np.asarray(p, dtype=np.longdouble)
+    lag = 1
+    while lag < z.shape[1]:
+        z[:, lag:] += power.astype(float) @ z[:, :-lag]
+        power = power @ power
+        lag *= 2
+    return z
+
+
 def integrate(
     params: OscillatorParams,
     state: InitialState,
@@ -69,7 +83,7 @@ def integrate(
     is the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P
     the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
     the identity (giving P) and on unit forcing at the start, middle and
-    end of a step (giving q0, qm, q1); the time loop applies the map.
+    end of a step (giving q0, qm, q1); a doubling scan solves the recurrence.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).
@@ -102,20 +116,10 @@ def integrate(
     k3 = rhs(z + 0.5 * dt * k2, fm)
     k4 = rhs(z + dt * k3, f1)
     step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = step[:, :3].ravel().tolist()
-    drive = step[:, 3:] @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]])
-
-    xs, vs, ys = np.empty((3, len(t)))
-    # Python floats: numpy scalars would make the loop several times slower.
-    x, v, y = float(state.x0), float(state.v0), w
-    xs[0], vs[0], ys[0] = x, v, y
-    for i, (ux, uv, uy) in enumerate(zip(*drive.tolist()), 1):
-        x, v, y = (
-            p00 * x + p01 * v + p02 * y + ux,
-            p10 * x + p11 * v + p12 * y + uv,
-            p20 * x + p21 * v + p22 * y + uy,
-        )
-        xs[i], vs[i], ys[i] = x, v, y
+    z = np.empty((3, len(t)))
+    z[:, 0] = state.x0, state.v0, w
+    z[:, 1:] = step[:, 3:] @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]])
+    xs, vs, ys = _scan(step[:, :3], z)
 
     psi_col = w * np.exp(-mu * t)
     return Trajectory(t0=0.0, dt=dt, x=xs, xdot=vs, psi=psi_col, y=ys)
@@ -123,18 +127,12 @@ def integrate(
 
 def _kernel_trapezoid_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
     """Trapezoid sums integral_0^{t_n} mu*exp(-mu*(t_n-tau))*values(tau) dtau
-    for every n, via the per-step exponential recursion (identical to the
-    direct trapezoid sum, O(n) instead of O(n^2))."""
-    n = len(values)
-    out = np.empty(n)
-    out[0] = 0.0
+    for every n: the recurrence acc_n = e*(acc_{n-1} + h*values_{n-1})
+    + h*values_n, e = exp(-mu*dt), h = mu*dt/2, solved by the doubling scan."""
     decay = math.exp(-mu * dt)
-    half = 0.5 * mu * dt
-    acc = 0.0
-    for i in range(1, n):
-        acc = decay * (acc + half * values[i - 1]) + half * values[i]
-        out[i] = acc
-    return out
+    acc = np.zeros((1, len(values)))
+    acc[0, 1:] = 0.5 * mu * dt * (decay * values[:-1] + values[1:])
+    return _scan(np.array([[decay]]), acc)[0]
 
 
 def convolution_check(

@@ -13,6 +13,7 @@ same integral.  Forcing adds a trapezoid convolution h*f on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,10 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_end <= 0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
-    n = max(1, int(round(t_end / dt)))
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end / dt is not finite for t_end = {t_end!r}, dt = {dt!r}")
+    n = max(1, int(round(steps)))
     return np.arange(n + 1) * (t_end / n)
 
 
@@ -251,20 +255,11 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     return values
 
 
-# The forced scan takes the grid _CHUNK steps at a time, in blocks of
-# _BLOCK steps, so its temporaries keep one size whatever the grid length.
-_BLOCK = 64
-_CHUNK = _BLOCK * _BLOCK
-
-
-def _toeplitz_powers(log_d, size):
-    # Powers d**k = exp(k*log_d), k = 0..size, per mode, and the upper-
-    # triangular Toeplitz matrices U[l, j] = d**(j-l) for which g @ U scans
-    # C_j = d*C_{j-1} + g_j over `size` steps.  Re(log_d) <= 0, so no power
-    # overflows.
-    powers = np.exp(np.multiply.outer(log_d, np.arange(size + 1)))
-    lag = np.arange(size) - np.arange(size)[:, None]
-    return powers, np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0)
+# The forced scan takes the grid _CHUNK steps at a time, so its
+# temporaries keep one size whatever the grid length.  A doubling scan of
+# the whole grid at once is memory-bound: on 5e4 points (2-CPU host, min
+# of 9) it took 18 ms and 9.7 MB traced, against 7 ms and 1.8 MB chunked.
+_CHUNK = 4096
 
 
 def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
@@ -272,40 +267,31 @@ def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
 
     Each mode obeys C_i = d*C_{i-1} + g_i with d = exp(s*dt) and
     g_i = dt/2*(d*f_{i-1} + f_i), which reproduces the trapezoid sum of
-    exp(s*(t-tau))*f(tau) exactly.  The recurrence is scanned in blocks of
-    _BLOCK steps: inside a block the scan is one matmul with the Toeplitz
-    matrix of powers d**(j-l); each block's end value enters the next one
-    scaled by d**(j+1), and the end values themselves are scanned the same
-    way with d**_BLOCK.  Python iterates once per chunk of _CHUNK steps,
-    and nothing it allocates grows with len(f) beyond the two output rows.
+    exp(s*(t-tau))*f(tau) exactly.  Each chunk of _CHUNK steps is solved
+    by a doubling scan: after the pass with lag k, element i holds the sum
+    of d**j * g_{i-j} over its last 2k terms, so ceil(log2(_CHUNK)) passes
+    replace the per-step loop.  The previous chunk's last value then
+    enters element j as d**(j+1) * carry.
     """
     roots = np.array(eig.roots)
     residues = np.array(eig.residues)
-    log_d = roots * dt
-    step_pow, step_scan = _toeplitz_powers(log_d, _BLOCK)
-    d = step_pow[:, 1]
-    block_pow, block_scan = _toeplitz_powers(log_d * _BLOCK, _CHUNK // _BLOCK)
+    # powers[:, j] = d**(j+1); Re(s) <= 0, so no power overflows.
+    powers = np.exp(np.multiply.outer(roots * dt, np.arange(1, _CHUNK + 1)))
+    d = powers[:, 0]
     weights = np.stack([residues, residues * roots])
     half = 0.5 * dt
     out = np.zeros((2, len(f)))
     carry = np.zeros(3, dtype=complex)
     for start in range(1, len(f), _CHUNK):
-        size = min(_CHUNK, len(f) - start)
-        blocks = -(-size // _BLOCK)
-        g = np.zeros((3, blocks * _BLOCK), dtype=complex)
-        g[:, :size] = half * (
-            np.multiply.outer(d, f[start - 1 : start - 1 + size])
-            + f[start : start + size]
-        )
-        local = g.reshape(3, blocks, _BLOCK) @ step_scan
-        ends = (local[:, None, :, -1] @ block_scan[:, :blocks, :blocks])[:, 0]
-        ends += block_pow[:, 1 : blocks + 1] * carry[:, None]
-        entering = np.concatenate([carry[:, None], ends[:, :-1]], axis=1)
-        local += step_pow[:, None, 1:] * entering[:, :, None]
-        out[:, start : start + size] = _real_part(
-            weights @ local.reshape(3, -1)[:, :size]
-        )
-        carry = ends[:, -1]
+        stop = min(start + _CHUNK, len(f))
+        conv = half * (np.multiply.outer(d, f[start - 1 : stop - 1]) + f[start:stop])
+        lag = 1
+        while lag < stop - start:
+            conv[:, lag:] += powers[:, lag - 1, None] * conv[:, :-lag]
+            lag *= 2
+        conv += powers[:, : stop - start] * carry[:, None]
+        out[:, start:stop] = _real_part(weights @ conv)
+        carry = conv[:, -1]
     return out[0], out[1]
 
 

@@ -310,6 +310,15 @@ def test_grid_overrides_change_row_count(tmp_path):
     assert data.shape[0] == 201
 
 
+@pytest.mark.parametrize("command", ["respond", "oracle", "bounds"])
+def test_overflowing_grid_exits_2(tmp_path, capsys, command):
+    # t_end / dt overflows to inf; the step count cannot be formed
+    cfg = _write_config(tmp_path, REF_DOC)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv + ["--t-end", "1e300", "--dt", "1e-300"]) == 2
+    assert "invalid input: t_end / dt is not finite" in capsys.readouterr().err
+
+
 def test_missing_grid_exits_2(tmp_path, capsys):
     doc = {"params": REF_DOC["params"]}
     code = cli.main(
@@ -410,6 +419,34 @@ def test_sampled_forcing_grid_mismatch_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "forcing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0.0,0.0\nnan,1.0\n0.02,0.0", "0.0,0.0\n0.01,inf\n0.02,0.0"],
+    ids=["nan-time", "inf-value"],
+)
+def test_sampled_forcing_non_finite_cell_exits_2(tmp_path, capsys, rows):
+    # a nan time would slip past the 1e-12 grid check (nan > 1e-12 is false)
+    (tmp_path / "force.csv").write_text(f"t,f\n{rows}\n", encoding="utf-8")
+    doc = {
+        **REF_DOC,
+        "forcing": {"type": "samples", "path": "force.csv"},
+        "grid": {"t_end": 0.02, "dt": 0.01},
+    }
+    code = cli.main(
+        ["respond", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "force.csv line 3" in capsys.readouterr().err
+
+
+def test_compare_non_finite_cell_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,x,xdot\n0.0,1.0,0.0\n0.1,0.9,-0.1\n", encoding="utf-8")
+    b.write_text("t,x,xdot\n0.0,1.0,0.0\n0.1,nan,-0.1\n", encoding="utf-8")
+    assert cli.main(["compare", str(a), str(b)]) == 2
+    assert "b.csv line 3: 'nan' is not finite" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

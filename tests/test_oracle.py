@@ -18,7 +18,11 @@ from expdamp import (
     integrate,
     time_grid,
 )
-from expdamp.oracle import _kernel_trapezoid_convolution, _resolution_limit
+from expdamp.oracle import (
+    _forcing_arrays,
+    _kernel_trapezoid_convolution,
+    _resolution_limit,
+)
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -106,14 +110,16 @@ def test_convolution_check_requires_internal_variable():
         convolution_check(REFERENCE, REF_HISTORY, traj)
 
 
-def test_kernel_trapezoid_matches_direct_sum():
+@pytest.mark.parametrize("size", [2, 3, 64, 65, 1000])
+def test_kernel_trapezoid_matches_direct_sum(size):
     rng = np.random.default_rng(33)
-    values = rng.normal(size=64)
+    values = rng.normal(size=size)
     dt, mu = 0.05, 2.7
     fast = _kernel_trapezoid_convolution(values, dt, mu)
-    t = np.arange(64) * dt
-    for n in (0, 1, 7, 63):
-        integrand = mu * np.exp(-mu * (t[n] - t[: n + 1])) * values[: n + 1]
+    for n in range(size):
+        # lags (n-j)*dt, not t_n - t_j: at t ~ 50 the rounded grid puts
+        # about 3e-15 of noise into the reference
+        integrand = mu * np.exp(-mu * dt * np.arange(n, -1, -1)) * values[: n + 1]
         direct = np.trapezoid(integrand, dx=dt) if n else 0.0
         assert fast[n] == pytest.approx(direct, rel=1e-12, abs=1e-15)
     assert fast[0] == 0.0
@@ -220,3 +226,62 @@ def test_step_map_matches_staged_loop(params, history, forcing, t_end, dt):
     ref = _staged_rk4(params, REF_STATE, w, f_nodes, f_mid, step)
     for got, want in zip((traj.x, traj.xdot, traj.y), ref):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _long_double_step_map(params, state, w, f_nodes, f_mid, dt):
+    # Reference: the step map read off one staged RK4 step from each unit
+    # state (the columns of P) and from zero state with unit forcing at the
+    # start, middle or end of the step (q0, qm, q1), then applied step by
+    # step in long double.
+    def one_step(x0, v0, y0, f_start, f_middle, f_end):
+        out = _staged_rk4(params, InitialState(x0, v0), y0, [f_start, f_end], [f_middle], dt)
+        return [col[1] for col in out]
+
+    ld = np.longdouble
+    p = np.array([one_step(*unit, 0, 0, 0) for unit in np.eye(3)], dtype=ld).T
+    q = np.array([one_step(0, 0, 0, *unit) for unit in np.eye(3)], dtype=ld).T
+    drive = q @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]]).astype(ld)
+    z = np.empty((3, len(f_nodes)), dtype=ld)
+    z[:, 0] = state.x0, state.v0, w
+    for i in range(1, len(f_nodes)):
+        z[:, i] = p @ z[:, i - 1] + drive[:, i - 1]
+    return z
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize(
+    "params, history, forcing, t_end, dt",
+    [
+        (REFERENCE, REF_HISTORY, None, 5.0, 1e-3),
+        (
+            OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0),
+            HistoryProfile(a=1.5, shape=Sine(0.7, 3.0, 0.4)),
+            None,
+            5.0,
+            1e-3,
+        ),
+        (FACTORED, None, None, 50.0, 1e-3),
+        (REFERENCE, REF_HISTORY, None, 400 * _GUARD_DT, _GUARD_DT),
+        (REFERENCE, REF_HISTORY, lambda t: math.sin(2.0 * t), 5.0, 1e-3),
+        (REFERENCE, REF_HISTORY, _SAMPLED, 2.0, 1e-3),
+        (OscillatorParams(m=1.0, c=0.5, k=4.0, mu=80.0), REF_HISTORY, None, 20.0, 5e-4),
+    ],
+    ids=[
+        "damped-pair", "three-real", "undamped-5e4", "step-guard", "callable", "sampled",
+        "stiff-kernel",
+    ],
+)
+def test_step_map_scan_matches_long_double(params, history, forcing, t_end, dt):
+    # The scan sums each state from powers of P in a different order than
+    # a step-by-step loop; it must stay within a few ulps of the exact
+    # sequential map, not drift with the number of steps.
+    traj = integrate(params, REF_STATE, history, forcing, t_end, dt)
+    t = time_grid(t_end, dt)
+    step = float(t[1])
+    f_nodes, f_mid = _forcing_arrays(forcing, t, step)
+    w = 0.0 if history is None else history_weight(params.kernel, history).value
+    ref = _long_double_step_map(params, REF_STATE, w, f_nodes, f_mid, step)
+    for got, want in zip((traj.x, traj.xdot, traj.y), ref):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -65,6 +65,8 @@ def test_time_grid_validation():
         time_grid(0.0, 0.1)
     with pytest.raises(ValueError):
         time_grid(-1.0, 0.1)
+    with pytest.raises(ValueError, match=r"t_end = 1e\+300, dt = 1e-300"):
+        time_grid(1e300, 1e-300)
 
 
 @given(
@@ -247,7 +249,7 @@ def test_forced_response_rejects_bad_forcing():
 
 
 def _trapezoid_recursion(eig, f, dt):
-    # Reference for the blocked scan: the per-mode trapezoid recursion
+    # Reference for the chunked scan: the per-mode trapezoid recursion
     # C <- exp(s*dt)*(C + dt/2*f_prev) + dt/2*f_here, one step at a time.
     decay = [cmath.exp(s * dt) for s in eig.roots]
     c = [0j, 0j, 0j]
@@ -265,11 +267,11 @@ def _trapezoid_recursion(eig, f, dt):
     ids=["damped-pair", "three-real", "undamped"],
 )
 @pytest.mark.parametrize(
-    "n", [2, 3, 63, 64, 65, 66, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+    "n", [2, 3, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
 )
 def test_forced_convolution_matches_recursion(params, n):
-    # grid lengths straddle one block (64 steps) and one chunk (_CHUNK
-    # steps); the undamped case has |exp(s*dt)| = 1 and a zero kernel residue
+    # grid lengths straddle one chunk (_CHUNK steps); the undamped case
+    # has |exp(s*dt)| = 1 and a zero kernel residue
     eig = solve_eigen(params)
     dt = 0.01
     t = np.arange(n) * dt
