@@ -110,8 +110,21 @@ def test_convolution_check_requires_internal_variable():
         convolution_check(REFERENCE, REF_HISTORY, traj)
 
 
+def test_kernel_trapezoid_matches_direct_sum():
+    rng = np.random.default_rng(33)
+    values = rng.normal(size=64)
+    dt, mu = 0.05, 2.7
+    fast = _kernel_trapezoid_convolution(values, dt, mu)
+    t = np.arange(64) * dt
+    for n in (0, 1, 7, 63):
+        integrand = mu * np.exp(-mu * (t[n] - t[: n + 1])) * values[: n + 1]
+        direct = np.trapezoid(integrand, dx=dt) if n else 0.0
+        assert fast[n] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+    assert fast[0] == 0.0
+
+
 @pytest.mark.parametrize("size", [2, 3, 64, 65, 1000])
-def test_kernel_trapezoid_matches_direct_sum(size):
+def test_kernel_trapezoid_matches_direct_sum_every_index(size):
     rng = np.random.default_rng(33)
     values = rng.normal(size=size)
     dt, mu = 0.05, 2.7
