@@ -23,7 +23,7 @@ import numpy as np
 from .errors import StepTooLarge
 from .history import history_weight
 from .model import Constant, HistoryProfile, InitialState, OscillatorParams, Sine
-from .response import Trajectory, _forcing_on_grid, time_grid
+from .response import Trajectory, _forcing_on_grid, _scan, time_grid
 
 __all__ = ["integrate", "convolution_check"]
 
@@ -54,20 +54,6 @@ def _forcing_arrays(forcing, t: np.ndarray, dt: float):
     return nodes, 0.5 * (nodes[:-1] + nodes[1:])
 
 
-def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # z_i <- p @ z_{i-1} + z_i along the columns, in place, by doubling:
-    # after the pass with lag k, column i holds p**j @ z_{i-j} summed over
-    # its last 2k terms.  Powers of p are squared in long double, because
-    # squared in float64 they drift like lag*eps.
-    power = np.asarray(p, dtype=np.longdouble)
-    lag = 1
-    while lag < z.shape[1]:
-        z[:, lag:] += power.astype(float) @ z[:, :-lag]
-        power = power @ power
-        lag *= 2
-    return z
-
-
 def integrate(
     params: OscillatorParams,
     state: InitialState,
@@ -83,7 +69,8 @@ def integrate(
     is the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P
     the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
     the identity (giving P) and on unit forcing at the start, middle and
-    end of a step (giving q0, qm, q1); a doubling scan solves the recurrence.
+    end of a step (giving q0, qm, q1); the chunked doubling scan that the
+    forced closed form also uses solves the recurrence.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).

@@ -248,80 +248,84 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
         # not real scalars with TypeError.
         values = np.fromiter(map(float, map(forcing, t.tolist())), float, len(t))
     else:
-        values = np.asarray(forcing, dtype=float)
+        values = np.asarray(forcing)
+        # The float cast would drop an imaginary part with only a warning.
+        if np.iscomplexobj(values):
+            raise TypeError(f"sampled forcing must be real, got dtype {values.dtype}")
+        values = values.astype(float, copy=False)
         if values.shape != t.shape:
             raise ValueError(
-                f"sampled forcing has {values.shape[0] if values.ndim else 0} values, "
-                f"grid has {len(t)}"
+                f"sampled forcing has shape {values.shape}, grid has shape {t.shape}"
             )
     if not np.all(np.isfinite(values)):
         raise ValueError("forcing must be finite on the whole grid")
     return values
 
 
-# The forced scan takes the grid _CHUNK steps at a time, so its
-# temporaries keep one size whatever the grid length.  A doubling scan of
-# the whole grid at once is memory-bound: on 5e4 points (2-CPU host, min
-# of 9) it took 18 ms and 9.7 MB traced, against 7 ms and 1.8 MB chunked.
+# _scan takes the grid _CHUNK columns at a time, so its temporaries keep
+# one size whatever the grid length.  A doubling scan of the whole grid at
+# once is memory-bound: on 3 x 1e6 columns (2-CPU host, min of 9) it took
+# 77 ms and 24 MB traced, against 41 ms and 0.15 MB chunked.
 _CHUNK = 4096
 
 
-def _paired_modes(eig: EigenSolution):
-    # f is real, so a conjugate pair contributes 2*Re(r1*C1): one mode with
-    # residue 2*r1 stands for both.  That needs s2, r2 to be the exact
-    # conjugates EigenSolution promises and s3, r3 to be real.
-    if eig.oscillatory:
-        broken = eig.s2 != eig.s1.conjugate() or eig.r2 != eig.r1.conjugate()
-        broken = broken or eig.s3.imag != 0.0 or eig.r3.imag != 0.0
-        roots, residues = [eig.s1, eig.s3], [2.0 * eig.r1, eig.r3]
-    else:
-        broken = any(z.imag != 0.0 for z in eig.roots + eig.residues)
-        roots, residues = [s.real for s in eig.roots], [r.real for r in eig.residues]
-    if broken:
-        raise DegenerateSpectrum(
-            "spectrum breaks the conjugate-pair invariant the forced scan relies on: "
-            f"roots {eig.roots}, residues {eig.residues}"
-        )
-    return np.array(roots), np.array(residues)
+def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z_i <- p @ z_{i-1} + z_i along the columns, in place.
+
+    Each chunk of _CHUNK columns is solved by doubling: after the pass
+    with lag k, column i holds p**j @ z_{i-j} summed over its last 2k
+    terms.  A chunk's first column first takes p @ the previous chunk's
+    last column, which the passes then carry through the chunk.  Powers
+    of p are squared in long double, because squared in float64 they
+    drift like lag*eps.
+    """
+    powers = []
+    power = np.asarray(p, dtype=np.longdouble)
+    while 2 ** len(powers) < min(_CHUNK, z.shape[1]):
+        powers.append(power.astype(float))
+        power = power @ power
+    for start in range(0, z.shape[1], _CHUNK):
+        block = z[:, start : start + _CHUNK]
+        if start:
+            block[:, 0] += p @ z[:, start - 1]
+        for j, power in enumerate(powers):
+            block[:, 2**j :] += power @ block[:, : -(2**j)]
+    return z
 
 
-def _forced_convolution(eig: EigenSolution, f: np.ndarray, dt: float):
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of one small matrix: scaling, degree-16 Taylor, squaring."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.25)))
+    scaled = a / 2.0**s
+    out = term = np.eye(len(a))
+    for j in range(1, 17):
+        term = term @ scaled / j
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _forced_convolution(params: OscillatorParams, f: np.ndarray, dt: float):
     """Trapezoid convolutions (h*f, hdot*f) on the uniform grid.
 
-    Each mode obeys C_i = d*C_{i-1} + g_i with d = exp(s*dt) and
-    g_i = dt/2*(d*f_{i-1} + f_i), which reproduces the trapezoid sum of
-    exp(s*(t-tau))*f(tau) exactly.  f is real, so a conjugate pair is
-    scanned as one complex mode s1 with residue 2*r1, next to the real
-    mode s3; three real roots are scanned in float64.  The weighted sum
-    is then real by construction and its real part is kept.
-
-    Each chunk of _CHUNK steps is solved by a doubling scan: after the
-    pass with lag k, element i holds the sum of d**j * g_{i-j} over its
-    last 2k terms, so ceil(log2(_CHUNK)) passes replace the per-step
-    loop.  The previous chunk's last value then enters element j as
-    d**(j+1) * carry.
+    From rest, z = (x, v, y) obeys z' = A z + b f with b = (0, 1/m, 0),
+    so h*f and hdot*f are the x and v rows of the trapezoid sum of
+    exp(A*(t-tau)) b f(tau).  With the exact step map P = exp(A*dt) that
+    sum is the recurrence z_i = P z_{i-1} + g_i, g_i = dt/2*(P b f_{i-1}
+    + b f_i), which _scan solves.
     """
-    roots, residues = _paired_modes(eig)
-    # powers[:, j] = d**(j+1); Re(s) <= 0, so no power overflows.  A grid
-    # shorter than one chunk needs only len(f) - 1 of them.
-    width = min(_CHUNK, len(f) - 1)
-    powers = np.exp(np.multiply.outer(roots * dt, np.arange(1, width + 1)))
-    d = powers[:, 0]
-    weights = np.stack([residues, residues * roots])
+    m, c, k, mu = params.m, params.c, params.k, params.mu
+    a = np.array([[0.0, 1.0, 0.0], [-k / m, 0.0, -c / m], [0.0, mu, -mu]])
+    p = _expm(a * dt)
     half = 0.5 * dt
-    out = np.zeros((2, len(f)))
-    carry = np.zeros(len(roots), dtype=roots.dtype)
-    for start in range(1, len(f), _CHUNK):
-        stop = min(start + _CHUNK, len(f))
-        conv = half * (np.multiply.outer(d, f[start - 1 : stop - 1]) + f[start:stop])
-        lag = 1
-        while lag < stop - start:
-            conv[:, lag:] += powers[:, lag - 1, None] * conv[:, :-lag]
-            lag *= 2
-        conv += powers[:, : stop - start] * carry[:, None]
-        out[:, start:stop] = (weights @ conv).real
-        carry = conv[:, -1]
-    return out[0], out[1]
+    g = np.zeros((3, len(f)))
+    # Written into g, so that no 3 x n temporary is made next to it; only
+    # the v row of b is nonzero.
+    np.multiply.outer(half * p[:, 1] / m, f[:-1], out=g[:, 1:])
+    g[1, 1:] += half / m * f[1:]
+    return _scan(p, g)[:2]
 
 
 def forced_response(
@@ -346,7 +350,7 @@ def forced_response(
     xdot = np.asarray(_assemble_derivative(params, eig, state, w, t), dtype=float)
     if forcing is not None:
         f = _forcing_on_grid(forcing, t)
-        conv_x, conv_v = _forced_convolution(eig, f, step)
+        conv_x, conv_v = _forced_convolution(params, f, step)
         x = x + conv_x
         xdot = xdot + conv_v
     psi_col = w * np.exp(-params.mu * t)

@@ -17,6 +17,7 @@ from expdamp import (
     Sine,
     decay_bounds,
     history_sup_norm,
+    initialization_response,
     response_terms,
     solve_eigen,
     split_history_term,
@@ -43,6 +44,31 @@ def test_split_zero_without_damping():
 def test_split_zero_without_history():
     eig = solve_eigen(REFERENCE)
     assert split_history_term(REFERENCE, eig, None, 1.5) == (0.0, 0.0)
+
+
+def test_split_zero_for_zero_history_weight():
+    # W = 0 takes the same exact-zero return as c = 0 or no history
+    eig = solve_eigen(REFERENCE)
+    zero_hist = HistoryProfile(a=1.0, shape=Constant(0.0))
+    assert split_history_term(REFERENCE, eig, zero_hist, 1.5) == (0.0, 0.0)
+    i1, i2 = split_history_term(REFERENCE, eig, zero_hist, np.linspace(0.0, 3.0, 7))
+    assert np.array_equal(i1, np.zeros(7)) and np.array_equal(i2, np.zeros(7))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eig, t: initialization_response(REFERENCE, REF_STATE, REF_HISTORY, t),
+        lambda eig, t: response_terms(REFERENCE, REF_STATE, REF_HISTORY, t),
+        lambda eig, t: split_history_term(REFERENCE, eig, REF_HISTORY, t),
+        lambda eig, t: decay_bounds(REFERENCE, eig, 1.0, 1.0, t),
+    ],
+    ids=["initialization_response", "response_terms", "split_history_term", "decay_bounds"],
+)
+@pytest.mark.parametrize("t", [-0.5, np.array([0.0, 1.0, -1e-12])], ids=["scalar", "array"])
+def test_negative_time_rejected(call, t):
+    with pytest.raises(ValueError, match="t >= 0"):
+        call(solve_eigen(REFERENCE), t)
 
 
 def test_split_reproduces_history_term():

@@ -449,5 +449,51 @@ def test_compare_non_finite_cell_exits_2(tmp_path, capsys):
     assert "b.csv line 3: 'nan' is not finite" in capsys.readouterr().err
 
 
+_SAMPLED_DOC = {
+    **REF_DOC,
+    "forcing": {"type": "samples", "path": "force.csv"},
+    "grid": {"t_end": 0.02, "dt": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, force_csv, named",
+    [
+        ({**REF_DOC, "params": [1]}, None, "params"),
+        ({**REF_DOC, "params": {**REF_DOC["params"], "m": True}}, None, "params.m"),
+        (
+            {**REF_DOC, "history": {"type": "polynomial", "a": 1.0, "coeffs": []}},
+            None,
+            "history.coeffs",
+        ),
+        ({**REF_DOC, "forcing": {"type": "samples", "path": ""}}, None, "forcing.path"),
+        ([REF_DOC], None, "top-level"),
+        (_SAMPLED_DOC, "time,f\n0.0,0.0\n0.01,0.0\n0.02,0.0\n", "header"),
+        (_SAMPLED_DOC, "t,f\n0.0\n0.01,0.0\n0.02,0.0\n", "force.csv line 2"),
+        (_SAMPLED_DOC, "t,f\n", "force.csv: no data rows"),
+    ],
+    ids=[
+        "params-list", "bool-number", "empty-coeffs", "empty-path", "top-level-array",
+        "csv-header", "csv-short-row", "csv-header-only",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, doc, force_csv, named):
+    if force_csv is not None:
+        (tmp_path / "force.csv").write_text(force_csv, encoding="utf-8")
+    code = cli.main(
+        ["respond", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_compare_t_columns_differ_exits_6(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,x,xdot\n0.0,1.0,0.0\n0.1,0.9,-0.1\n", encoding="utf-8")
+    b.write_text("t,x,xdot\n0.0,1.0,0.0\n0.2,0.9,-0.1\n", encoding="utf-8")
+    assert cli.main(["compare", str(a), str(b)]) == 6
+    assert "t columns" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     assert cli.main(["transmogrify"]) == 2

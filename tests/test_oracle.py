@@ -1,6 +1,8 @@
 """Independent RK4 integrator on the augmented (x, v, y) system."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from expdamp import (
     integrate,
     time_grid,
 )
+from expdamp import oracle
 from expdamp.oracle import (
     _forcing_arrays,
     _kernel_trapezoid_convolution,
@@ -298,3 +301,33 @@ def test_step_map_scan_matches_long_double(params, history, forcing, t_end, dt):
     ref = _long_double_step_map(params, REF_STATE, w, f_nodes, f_mid, step)
     for got, want in zip((traj.x, traj.xdot, traj.y), ref):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _imports(path):
+    # (module, name) for every import in the file, module relative to the
+    # package: "from .response import _scan" gives ("response", "_scan").
+    out = set()
+    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("expdamp").lstrip(".")
+            out.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module, _, name = alias.name.removeprefix("expdamp.").rpartition(".")
+                out.add((module, name))
+    return out
+
+
+def test_oracle_import_boundary():
+    # The oracle checks the closed form, so it must stay independent of it:
+    # no roots, residues or bounds, and from response only the grid, the
+    # trajectory record, forcing sampling and the shared linear scan.
+    allowed = {"Trajectory", "_forcing_on_grid", "_scan", "time_grid"}
+    imports = _imports(oracle.__file__)
+    assert ("response", "_scan") in imports
+    for module, name in imports:
+        assert module not in ("eigen", "bounds"), (module, name)
+        assert module != "" or name not in ("eigen", "bounds", "response"), name
+        assert module != "response" or name in allowed, name
