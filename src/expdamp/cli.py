@@ -489,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     del p_eigen
 
     for name, help_text in (
-        ("respond", "closed-form trajectory CSV (convolution path when forced)"),
+        ("respond", "trajectory CSV: closed form, or one state-space scan when forced"),
         ("oracle", "RK4 reference trajectory CSV"),
         ("bounds", "history-term split, decay bounds CSV, and JSON summary"),
     ):

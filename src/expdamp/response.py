@@ -1,4 +1,4 @@
-"""Initialization and forced response in closed form.
+"""Initialization response in closed form; forced response by one scan.
 
 With psi(t) = W*exp(-mu*t), the response to initial conditions and
 history is an exponential sum over the three characteristic roots:
@@ -8,7 +8,7 @@ history is an exponential sum over the three characteristic roots:
 
 where the first and third terms of the four-part split share one
 convolution shape because the history term -c*(h*psi) is W times the
-same integral.  Forcing adds a trapezoid convolution h*f on the grid.
+same integral.  Nonzero forcing instead scans (x, v, y) from (x0, v0, W).
 """
 
 from __future__ import annotations
@@ -307,23 +307,24 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forced_convolution(params: OscillatorParams, f: np.ndarray, dt: float):
-    """Trapezoid convolutions (h*f, hdot*f) on the uniform grid.
+def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
+    """Trapezoid response (x, v) to the forcing samples f from state z0.
 
-    From rest, z = (x, v, y) obeys z' = A z + b f with b = (0, 1/m, 0),
-    so h*f and hdot*f are the x and v rows of the trapezoid sum of
-    exp(A*(t-tau)) b f(tau).  With the exact step map P = exp(A*dt) that
-    sum is the recurrence z_i = P z_{i-1} + g_i, g_i = dt/2*(P b f_{i-1}
-    + b f_i), which _scan solves.
+    z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
+    the whole history, so z0 = (x0, v0, W) is the full initial state; from
+    rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
+    kept in long double (in float64 its rounding grows like n*eps), the
+    trapezoid rule is z_i = P z_{i-1} + dt/2*(P b f_{i-1} + b f_i): a _scan.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
-    a = np.array([[0.0, 1.0, 0.0], [-k / m, 0.0, -c / m], [0.0, mu, -mu]])
+    a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
     p = _expm(a * dt)
     half = 0.5 * dt
-    g = np.zeros((3, len(f)))
+    g = np.empty((3, len(f)))
+    g[:, 0] = z0
     # Written into g, so that no 3 x n temporary is made next to it; only
     # the v row of b is nonzero.
-    np.multiply.outer(half * p[:, 1] / m, f[:-1], out=g[:, 1:])
+    np.multiply.outer(half * p[:, 1].astype(float) / m, f[:-1], out=g[:, 1:])
     g[1, 1:] += half / m * f[1:]
     return _scan(p, g)[:2]
 
@@ -338,29 +339,28 @@ def forced_response(
 ) -> Trajectory:
     """Trajectory on [0, t_end]: initialization response plus h*f.
 
-    forcing may be None (pure initialization response, closed form per
-    point), a Constant or Sine spec, a callable f(t), or an array of
-    samples on the grid.
+    forcing may be None, a Constant or Sine spec, a callable f(t), or grid
+    samples.  Nonzero forcing gives one scan from (x0, v0, W), exact at t=0
+    and free of roots and residues; None or all-zero forcing, the closed form.
     """
-    eig = solve_eigen(params)
     w = _weight_value(params, history)
     t = time_grid(t_end, dt)
     step = float(t[1])
-    x = np.asarray(_assemble(params, eig, state, w, t), dtype=float)
-    xdot = np.asarray(_assemble_derivative(params, eig, state, w, t), dtype=float)
-    if forcing is not None:
-        f = _forcing_on_grid(forcing, t)
-        conv_x, conv_v = _forced_convolution(params, f, step)
-        x = x + conv_x
-        xdot = xdot + conv_v
+    f = None if forcing is None else _forcing_on_grid(forcing, t)
+    if f is not None and f.any():
+        x, xdot = _forced_convolution(params, f, step, (state.x0, state.v0, w))
+    else:
+        eig = solve_eigen(params)
+        x = np.asarray(_assemble(params, eig, state, w, t), dtype=float)
+        xdot = np.asarray(_assemble_derivative(params, eig, state, w, t), dtype=float)
+        # The modal sums reproduce the initial state only while the residues
+        # stay well conditioned; near a double root they cancel to a few digits.
+        scale = max(1.0, abs(state.x0), abs(state.v0))
+        mismatch = max(abs(x[0] - state.x0), abs(xdot[0] - state.v0))
+        if mismatch > 1e-9 * scale:
+            raise DegenerateSpectrum(
+                f"closed form misses the initial state by {mismatch:.3g} "
+                f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
+            )
     psi_col = w * np.exp(-params.mu * t)
-    # The modal sums reproduce the initial state only while the residues
-    # stay well conditioned; near a double root they cancel to a few digits.
-    scale = max(1.0, abs(state.x0), abs(state.v0))
-    mismatch = max(abs(x[0] - state.x0), abs(xdot[0] - state.v0))
-    if mismatch > 1e-9 * scale:
-        raise DegenerateSpectrum(
-            f"closed form misses the initial state by {mismatch:.3g} "
-            f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
-        )
     return Trajectory(t0=0.0, dt=step, x=x, xdot=xdot, psi=psi_col)

@@ -207,6 +207,19 @@ def test_degenerate_spectrum_exits_3(tmp_path, capsys):
         assert "DegenerateSpectrum" in capsys.readouterr().err
 
 
+def test_forced_respond_on_double_root_exits_0(tmp_path):
+    # forced trajectories need no residues, so the exact double root of
+    # (s+1)^2 (s+2) that eigen rejects still gives a trajectory
+    doc = {
+        **REF_DOC,
+        "params": {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
+        "forcing": {"type": "sine", "amplitude": 1.0, "omega": 2.0},
+    }
+    out = tmp_path / "r.csv"
+    assert cli.main(["respond", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert out.read_bytes().split(b"\n")[1].startswith(b"0.0,1.0,0.3,")
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     cfg = _write_config(tmp_path, REF_DOC)
     code = cli.main(

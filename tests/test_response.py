@@ -192,10 +192,13 @@ def test_response_terms_sum_to_response():
 
 
 def test_forced_response_none_equals_zero_forcing():
+    # forcing that is zero on the whole grid selects the closed form, bit
+    # for bit, whatever its kind
     a = forced_response(REFERENCE, REF_STATE, REF_HISTORY, None, 5.0, 1e-3)
-    b = forced_response(REFERENCE, REF_STATE, REF_HISTORY, lambda t: 0.0, 5.0, 1e-3)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.xdot, b.xdot)
+    for zero in (lambda t: 0.0, Constant(0.0), np.zeros(5001)):
+        b = forced_response(REFERENCE, REF_STATE, REF_HISTORY, zero, 5.0, 1e-3)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.xdot, b.xdot)
 
 
 def test_forced_response_undamped_step():
@@ -365,6 +368,103 @@ def test_near_double_root_raises_typed_error(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("DegenerateSpectrum: closed form misses")
+
+
+# (params, t_end, dt) for the seeded scan: the reference pair, c = 0, three
+# real roots, a stiff kernel, and a 1e6-point grid.
+SEEDED_CASES = [
+    (REFERENCE, 50.0, 1e-3),
+    (OscillatorParams(m=1.0, c=0.0, k=1.0, mu=3.0), 50.0, 1e-3),
+    (OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0), 50.0, 1e-3),
+    (OscillatorParams(m=1.0, c=0.5, k=4.0, mu=80.0), 25.0, 5e-4),
+    (REFERENCE, 1000.0, 1e-3),
+]
+SEEDED_IDS = ["damped-pair", "undamped", "three-real", "stiff-kernel", "grid-1e6"]
+
+
+@pytest.mark.parametrize("params, t_end, dt", SEEDED_CASES, ids=SEEDED_IDS)
+def test_seeded_scan_is_free_plus_forced_response(params, t_end, dt):
+    # The scan from (x0, v0, W) minus the scan from rest is the closed-form
+    # free response, and the forced trajectory starts at the initial state.
+    f = Sine(1.3, 2.0, 0.4)
+    both = forced_response(params, REF_STATE, REF_HISTORY, f, t_end, dt)
+    forced = forced_response(params, InitialState(0.0, 0.0), None, f, t_end, dt)
+    free = forced_response(params, REF_STATE, REF_HISTORY, None, t_end, dt)
+    for a, b, want in ((both.x, forced.x, free.x), (both.xdot, forced.xdot, free.xdot)):
+        assert np.max(np.abs(a - b - want)) <= 1e-12 * np.max(np.abs(want))
+    assert both.x[0] == REF_STATE.x0 and both.xdot[0] == REF_STATE.v0
+
+
+def _long_double_powers(params, z0, dt, n, stride):
+    # exp(A*dt)**j @ z0 for j = 0, stride, 2*stride, ... < n, in long double:
+    # degree-30 Taylor on A*dt/2**s, squared s times, then stride-th powers
+    # by repeated products.
+    m, c, k, mu = params.m, params.c, params.k, params.mu
+    a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
+    a = a * np.longdouble(dt)
+    s = max(0, math.ceil(math.log2(max(float(np.abs(a).sum(axis=0).max()), 1e-300) / 0.125)))
+    term = step = np.eye(3, dtype=np.longdouble)
+    for j in range(1, 31):
+        term = term @ a / (2**s * j)
+        step = step + term
+    for _ in range(s):
+        step = step @ step
+    jump = np.linalg.matrix_power(step, stride)
+    z = np.asarray(z0, dtype=np.longdouble)
+    out = [z]
+    for _ in range(1, -(-n // stride)):
+        z = jump @ z
+        out.append(z)
+    return np.array(out, dtype=float).T
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize("params, t_end, dt", SEEDED_CASES, ids=SEEDED_IDS)
+def test_seeded_scan_matches_long_double_powers(params, t_end, dt):
+    # The step map stays in long double inside the scan; rounded to float64
+    # its error grows like n*eps and the undamped case misses by ~4e-13.
+    t = time_grid(t_end, dt)
+    n, step = len(t), float(t[1])
+    stride = 1 if n <= 100_000 else 1000
+    z0 = (REF_STATE.x0, REF_STATE.v0, history_weight(params.kernel, REF_HISTORY).value)
+    x, v = _forced_convolution(params, np.zeros(n), step, z0)
+    want = _long_double_powers(params, z0, step, n, stride)
+    for got, ref in zip((x[::stride], v[::stride]), want):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        OscillatorParams(m=1.0, c=1.28 * (1.0 + 1e-8), k=0.6, mu=5.0),
+        OscillatorParams(m=1.0, c=1.125, k=0.5, mu=4.0),
+    ],
+    ids=["near-double", "exact-double"],
+)
+def test_forced_double_root_matches_oracle(params):
+    # (s+1)^2 (s+3) with c nudged by 1e-8, and exactly (s+1)^2 (s+2): the
+    # scan needs no residues, so neither raises DegenerateSpectrum
+    history = HistoryProfile(a=1.5, shape=Sine(0.7, 3.0, 0.4))
+    f = Sine(1.0, 2.0)
+    a = forced_response(params, REF_STATE, history, f, 10.0, 1e-3)
+    b = integrate(params, REF_STATE, history, f, 10.0, 1e-3)
+    for got, want in ((a.x, b.x), (a.xdot, b.xdot)):
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_forced_response_needs_no_spectrum(monkeypatch):
+    # A forced trajectory uses no roots or residues: it survives a
+    # solve_eigen that always fails.
+    def refuse(params):
+        raise AssertionError("forced_response must not solve the spectrum")
+
+    monkeypatch.setattr(expdamp.response, "solve_eigen", refuse)
+    traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, Sine(1.0, 2.0), 5.0, 1e-3)
+    assert len(traj) == 5001 and traj.x[0] == REF_STATE.x0
+    with pytest.raises(AssertionError, match="must not solve"):
+        forced_response(REFERENCE, REF_STATE, REF_HISTORY, None, 5.0, 1e-3)
 
 
 def test_trajectory_starts_at_initial_state():
