@@ -156,11 +156,10 @@ def verify_decay(
     _require_oscillatory(eig)
     t = time_grid(t_end, dt)
 
-    w = 0.0
+    w = history_weight(params.kernel, history).value
     m_sup = 0.0
     a = 0.0
     if history is not None:
-        w = history_weight(params.kernel, history).value
         m_sup = history_sup_norm(history)
         a = history.a
 

@@ -306,10 +306,11 @@ def _write_text(path, text: str):
 
 
 def _csv(header: str, *columns: np.ndarray) -> str:
-    """One row per index, formatted lazily so that no column becomes a
-    Python list: flag columns as 0/1, numbers with repr."""
+    """One row per index: flag columns as 0/1, numbers with repr.  tolist()
+    converts a whole column to Python floats in one call, faster than one
+    float() per element."""
     cells = [
-        map(str, map(int, col)) if col.dtype == bool else map(repr, map(float, col))
+        map(str, map(int, col)) if col.dtype == bool else map(repr, col.tolist())
         for col in columns
     ]
     lines = [header]

@@ -64,9 +64,11 @@ def _weight_polynomial(shape: Polynomial, mu: float, a: float) -> float:
     return mu * total
 
 
-def history_weight(kernel: ExponentialKernel, profile: HistoryProfile) -> HistoryWeight:
+def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) -> HistoryWeight:
     """W for the given kernel and history; closed form for analytic
-    shapes, trapezoid quadrature for sampled ones."""
+    shapes, trapezoid quadrature for sampled ones, 0 without a history."""
+    if profile is None:
+        return HistoryWeight(0.0, kernel.mu)
     mu, a = kernel.mu, profile.a
     shape = profile.shape
     if isinstance(shape, Constant):
@@ -75,10 +77,11 @@ def history_weight(kernel: ExponentialKernel, profile: HistoryProfile) -> Histor
         value = _weight_sine(shape, mu, a)
     elif isinstance(shape, Polynomial):
         value = _weight_polynomial(shape, mu, a)
-    else:
-        assert isinstance(shape, Samples)
+    elif isinstance(shape, Samples):
         grid = profile.grid()
         value = mu * float(np.trapezoid(np.exp(mu * grid) * shape.values, grid))
+    else:
+        raise TypeError(f"unsupported history shape: {shape!r}")
     return HistoryWeight(float(value), mu)
 
 

@@ -83,9 +83,7 @@ def integrate(
             f"dt = {dt:g} exceeds the resolution guard {limit:g} "
             "(5% of the shortest system time scale)"
         )
-    w = 0.0
-    if history is not None:
-        w = history_weight(params.kernel, history).value
+    weight = history_weight(params.kernel, history)
     f_nodes, f_mid = _forcing_arrays(forcing, t, dt)
 
     m, c, k, mu = params.m, params.c, params.k, params.mu
@@ -104,12 +102,10 @@ def integrate(
     k4 = rhs(z + dt * k3, f1)
     step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
     z = np.empty((3, len(t)))
-    z[:, 0] = state.x0, state.v0, w
+    z[:, 0] = state.x0, state.v0, weight.value
     z[:, 1:] = step[:, 3:] @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]])
     xs, vs, ys = _scan(step[:, :3], z)
-
-    psi_col = w * np.exp(-mu * t)
-    return Trajectory(t0=0.0, dt=dt, x=xs, xdot=vs, psi=psi_col, y=ys)
+    return Trajectory(dt=dt, x=xs, xdot=vs, weight=weight, y=ys)
 
 
 def _kernel_trapezoid_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
@@ -127,7 +123,7 @@ def convolution_check(
     history: HistoryProfile | None,
     trajectory: Trajectory,
 ) -> float:
-    """Max deviation between the ODE-internal damping variable and the
+    """Max deviation between the internal damping variable y and the
     defining convolution recomputed from the stored velocity samples.
 
     The deviation is bounded by the trapezoid error, O(dt^2).
@@ -135,12 +131,8 @@ def convolution_check(
     if trajectory.y is None:
         raise ValueError(
             "trajectory lacks the internal damping variable; "
-            "produce it with oracle.integrate"
+            "produce it with oracle.integrate or a forced forced_response"
         )
-    w = 0.0
-    if history is not None:
-        w = history_weight(params.kernel, history).value
-    t = trajectory.t
-    y_conv = w * np.exp(-params.mu * t)
+    y_conv = history_weight(params.kernel, history).psi(trajectory.t)
     y_conv += _kernel_trapezoid_convolution(trajectory.xdot, trajectory.dt, params.mu)
     return float(np.max(np.abs(trajectory.y - y_conv)))

@@ -26,7 +26,7 @@ from .eigen import (
     solve_eigen,
     _real_part,
 )
-from .history import history_weight
+from .history import HistoryWeight, history_weight
 from .model import (
     Constant,
     HistoryProfile,
@@ -49,24 +49,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled (x, xdot, psi) records starting at t0 = 0.
+    """Uniformly sampled (x, xdot) from t = 0, and the history weight W.
 
+    t and psi(t) = W*exp(-mu*t) are computed from dt and weight on access.
     The optional y column carries the internal damping variable when the
-    trajectory comes from the time-domain integrator; closed-form
-    trajectories leave it None.
+    trajectory comes from a scan of (x, v, y); the closed form leaves it None.
     """
 
-    t0: float
     dt: float
     x: np.ndarray
     xdot: np.ndarray
-    psi: np.ndarray
+    weight: HistoryWeight
     y: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        columns = {"x": self.x, "xdot": self.xdot, "psi": self.psi}
+        if not isinstance(self.weight, HistoryWeight):
+            raise TypeError(f"weight must be a HistoryWeight, got {self.weight!r}")
+        if not math.isfinite(self.weight.value):
+            raise ValueError(f"non-finite history weight {self.weight.value}")
+        columns = {"x": self.x, "xdot": self.xdot}
         if self.y is not None:
             columns["y"] = self.y
         arrays = {n: np.asarray(c, dtype=float) for n, c in columns.items()}
@@ -83,7 +86,11 @@ class Trajectory:
 
     @property
     def t(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.x)) * self.dt
+        return np.arange(len(self.x)) * self.dt
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.weight.psi(self.t)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -167,12 +174,6 @@ def _exp_convolution_derivative(eig, rate, t):
     return _real_part(acc + 0j * down)
 
 
-def _weight_value(params: OscillatorParams, history: HistoryProfile | None) -> float:
-    if history is None:
-        return 0.0
-    return history_weight(params.kernel, history).value
-
-
 def _assemble(params, eig, state, w, t):
     x = params.m * state.x0 * impulse_response_derivative(eig, t)
     x = x + params.m * state.v0 * impulse_response(eig, t)
@@ -202,7 +203,7 @@ def initialization_response(
 ):
     """Response x(t) to initial state and history, no external force."""
     eig = solve_eigen(params)
-    w = _weight_value(params, history)
+    w = history_weight(params.kernel, history).value
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("response is defined for t >= 0")
@@ -221,7 +222,7 @@ def response_terms(
     and kernel terms are exactly zero.
     """
     eig = solve_eigen(params)
-    w = _weight_value(params, history)
+    w = history_weight(params.kernel, history).value
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("response is defined for t >= 0")
@@ -308,7 +309,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
-    """Trapezoid response (x, v) to the forcing samples f from state z0.
+    """Trapezoid response (x, v, y) to the forcing samples f from state z0.
 
     z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
     the whole history, so z0 = (x0, v0, W) is the full initial state; from
@@ -326,7 +327,7 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
     # the v row of b is nonzero.
     np.multiply.outer(half * p[:, 1].astype(float) / m, f[:-1], out=g[:, 1:])
     g[1, 1:] += half / m * f[1:]
-    return _scan(p, g)[:2]
+    return _scan(p, g)
 
 
 def forced_response(
@@ -341,18 +342,20 @@ def forced_response(
 
     forcing may be None, a Constant or Sine spec, a callable f(t), or grid
     samples.  Nonzero forcing gives one scan from (x0, v0, W), exact at t=0
-    and free of roots and residues; None or all-zero forcing, the closed form.
+    and free of roots and residues, and keeps its y row; None or all-zero
+    forcing, the closed form, without y.
     """
-    w = _weight_value(params, history)
+    weight = history_weight(params.kernel, history)
     t = time_grid(t_end, dt)
     step = float(t[1])
     f = None if forcing is None else _forcing_on_grid(forcing, t)
+    y = None
     if f is not None and f.any():
-        x, xdot = _forced_convolution(params, f, step, (state.x0, state.v0, w))
+        x, xdot, y = _forced_convolution(params, f, step, (state.x0, state.v0, weight.value))
     else:
         eig = solve_eigen(params)
-        x = np.asarray(_assemble(params, eig, state, w, t), dtype=float)
-        xdot = np.asarray(_assemble_derivative(params, eig, state, w, t), dtype=float)
+        x = np.asarray(_assemble(params, eig, state, weight.value, t), dtype=float)
+        xdot = np.asarray(_assemble_derivative(params, eig, state, weight.value, t), dtype=float)
         # The modal sums reproduce the initial state only while the residues
         # stay well conditioned; near a double root they cancel to a few digits.
         scale = max(1.0, abs(state.x0), abs(state.v0))
@@ -362,5 +365,4 @@ def forced_response(
                 f"closed form misses the initial state by {mismatch:.3g} "
                 f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
             )
-    psi_col = w * np.exp(-params.mu * t)
-    return Trajectory(t0=0.0, dt=step, x=x, xdot=xdot, psi=psi_col)
+    return Trajectory(dt=step, x=x, xdot=xdot, weight=weight, y=y)

@@ -1,0 +1,131 @@
+"""Regime contract: validated inputs give an accurate result or a typed error.
+
+Every guard on a numerical invariant must also hold under ``python -O``,
+and forced trajectories must meet their documented O(dt^2) accuracy in
+every spectral regime, not only on the well-separated draws.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import expdamp
+from expdamp import (
+    Constant,
+    HistoryProfile,
+    InitialState,
+    OscillatorParams,
+    Sine,
+    forced_response,
+)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so no guard in the package may be one.
+    found = []
+    for path in sorted(Path(expdamp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not found, found
+
+
+def _acceptance_draw(seed):
+    # One draw from the acceptance criteria's parameter distribution.
+    rng = np.random.default_rng(seed)
+    return OscillatorParams(
+        m=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+        c=float(rng.uniform(0.0, 5.0)),
+        k=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+        mu=float(np.exp(rng.uniform(np.log(0.1), np.log(100.0)))),
+    )
+
+
+# (params, sine forcing) per regime; every regime also runs Constant(0.8).
+REGIMES = {
+    "acceptance": (_acceptance_draw(2024), Sine(1.0, 2.0, 0.4)),
+    # m x'' + x = sin t: the drive sits on the undamped resonance.
+    "undamped-resonant": (OscillatorParams(1.0, 0.0, 1.0, 2.0), Sine(1.0, 1.0, 0.0)),
+    # (s+1)(s+2)(s+3)
+    "three-real": (OscillatorParams(1.0, 5.0 / 3.0, 1.0, 6.0), Sine(1.0, 2.0, 0.4)),
+    # (s+1)^2 (s+3) with c nudged by 1e-8
+    "near-double": (OscillatorParams(1.0, 1.28 * (1.0 + 1e-8), 0.6, 5.0), Sine(1.0, 2.0, 0.4)),
+    # (s+1)^2 (s+2)
+    "exact-double": (OscillatorParams(1.0, 1.125, 0.5, 4.0), Sine(1.0, 2.0, 0.4)),
+    # (s+1)^3
+    "triple": (OscillatorParams(1.0, 8.0 / 9.0, 1.0 / 3.0, 3.0), Sine(1.0, 2.0, 0.4)),
+    # the kernel root sits within about 1e-9 of -mu
+    "root-near-kernel": (OscillatorParams(1.0, 1e-9, 1.0, 3.0), Sine(1.0, 2.0, 0.4)),
+    # mu = 1e4 k/c: close to the viscous limit m x'' + c x' + k x = f
+    "viscous-limit": (OscillatorParams(1.0, 0.5, 4.0, 1e4 * 4.0 / 0.5), Sine(1.0, 2.0, 0.4)),
+}
+CASES = [
+    pytest.param(params, forcing, id=f"{name}-{type(forcing).__name__.lower()}")
+    for name, (params, sine) in REGIMES.items()
+    for forcing in (Constant(0.8), sine)
+]
+STATE = InitialState(1.0, 0.3)
+HISTORY = HistoryProfile(a=1.0, shape=Constant(1.0))
+
+
+def _expm_long_double(a):
+    # scaling and squaring with a degree-30 Taylor polynomial, in long double
+    a = np.asarray(a, dtype=np.longdouble)
+    s = max(0, math.ceil(math.log2(max(float(np.abs(a).sum(axis=0).max()), 1e-300) / 0.125)))
+    term = out = np.eye(len(a), dtype=np.longdouble)
+    for j in range(1, 31):
+        term = term @ a / (2**s * j)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _exact_samples(params, w, forcing, dt, n, stride):
+    """(x, v) at every stride-th grid point, exactly for a Constant or Sine
+    drive: the drive's generator is appended to z = (x, v, y), so that
+    z' = A z has no input and exp(A*stride*dt) steps it exactly."""
+    m, c, k, mu = params.m, params.c, params.k, params.mu
+    if isinstance(forcing, Constant):
+        # u' = 0, f = u
+        gen, u0, out = [[0.0]], [forcing.value], [1.0]
+    else:
+        # (sin, cos)(omega t + phase) rotates at omega, f = amplitude * sin
+        om, ph = forcing.omega, forcing.phase
+        gen, u0 = [[0.0, om], [-om, 0.0]], [math.sin(ph), math.cos(ph)]
+        out = [forcing.amplitude, 0.0]
+    a = np.zeros((3 + len(u0),) * 2, dtype=np.longdouble)
+    a[:3, :3] = [[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]]
+    a[1, 3:] = np.array(out) / m
+    a[3:, 3:] = gen
+    jump = _expm_long_double(a * (np.longdouble(dt) * stride))
+    z = np.array([STATE.x0, STATE.v0, w, *u0], dtype=np.longdouble)
+    rows = [z]
+    for _ in range(1, -(-n // stride)):
+        z = jump @ z
+        rows.append(z)
+    return np.array(rows, dtype=float).T[:2]
+
+
+def _forced_error(params, forcing, dt):
+    # max error of x and xdot, each relative to the reference's own maximum
+    traj = forced_response(params, STATE, HISTORY, forcing, 20.0, dt)
+    stride = round(0.1 / traj.dt)
+    w = HISTORY.shape.value * -math.expm1(-params.mu * HISTORY.a)
+    ref = _exact_samples(params, w, forcing, traj.dt, len(traj), stride)
+    return max(
+        np.max(np.abs(got[::stride] - want)) / np.max(np.abs(want))
+        for got, want in zip((traj.x, traj.xdot), ref, strict=True)
+    )
+
+
+@pytest.mark.parametrize("params, forcing", CASES)
+def test_forced_response_every_regime(params, forcing):
+    # The forced scan is the trapezoid rule on the exact step map: 1e-6 at
+    # dt = 1e-3 over 20 s, and second order, in every spectral regime.
+    coarse = _forced_error(params, forcing, 1e-3)
+    fine = _forced_error(params, forcing, 5e-4)
+    assert coarse <= 1e-6
+    assert 3.0 <= coarse / fine <= 5.0

@@ -42,6 +42,21 @@ def test_zero_constant_weight():
     assert history_weight(KERNEL, prof).value == 0.0
 
 
+def test_no_history_weight_is_zero():
+    w = history_weight(KERNEL, None)
+    assert (w.value, w.mu) == (0.0, KERNEL.mu)
+    assert np.array_equal(w.psi([0.0, 1.0]), [0.0, 0.0])
+
+
+def test_unknown_shape_raises_type_error():
+    # HistoryProfile rejects other shapes; a frozen field swapped after
+    # construction must still get a typed error, also under python -O.
+    prof = HistoryProfile(a=1.0, shape=Samples((1.0, 2.0)))
+    object.__setattr__(prof, "shape", object())
+    with pytest.raises(TypeError, match="unsupported history shape"):
+        history_weight(KERNEL, prof)
+
+
 def test_sine_weight_matches_quadrature():
     kernel = ExponentialKernel(mu=1.0)
     prof = HistoryProfile(a=math.pi, shape=Sine(amplitude=1.0, omega=1.0, phase=0.0))

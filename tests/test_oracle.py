@@ -106,6 +106,17 @@ def test_convolution_check_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
+def test_convolution_check_forced_scan():
+    # A forced trajectory keeps the scan's y row, which matches the kernel
+    # convolution of its own velocity to the trapezoid's O(dt^2).
+    errs = []
+    for dt in (2e-3, 1e-3):
+        traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, Sine(1.0, 2.0), 5.0, dt)
+        errs.append(convolution_check(REFERENCE, REF_HISTORY, traj))
+    assert errs[1] < 1e-5
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
 def test_convolution_check_requires_internal_variable():
     traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, None, 1.0, 1e-3)
     assert traj.y is None

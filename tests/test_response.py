@@ -16,6 +16,7 @@ import expdamp
 from expdamp import (
     Constant,
     HistoryProfile,
+    HistoryWeight,
     InitialState,
     OscillatorParams,
     ResonantKernel,
@@ -88,27 +89,31 @@ def test_time_grid_properties(t_end, dt):
 
 def test_trajectory_validation():
     ok = dict(
-        t0=0.0,
         dt=0.1,
         x=np.zeros(3),
         xdot=np.zeros(3),
-        psi=np.zeros(3),
+        weight=HistoryWeight(0.0, 2.0),
     )
     traj = Trajectory(**ok)
     assert len(traj) == 3
     assert traj.t == pytest.approx([0.0, 0.1, 0.2])
     with pytest.raises(ValueError):
-        Trajectory(**{**ok, "x": np.zeros(1), "xdot": np.zeros(1), "psi": np.zeros(1)})
+        Trajectory(**{**ok, "x": np.zeros(1), "xdot": np.zeros(1)})
     with pytest.raises(ValueError):
         Trajectory(**{**ok, "xdot": np.zeros(4)})
     with pytest.raises(ValueError):
         Trajectory(**{**ok, "x": np.array([0.0, math.nan, 0.0])})
     with pytest.raises(ValueError):
         Trajectory(**{**ok, "dt": 0.0})
+    for w in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="history weight"):
+            Trajectory(**{**ok, "weight": HistoryWeight(w, 2.0)})
+    with pytest.raises(TypeError):
+        Trajectory(**{**ok, "weight": 0.0})
 
 
 def test_trajectory_arrays_read_only():
-    traj = Trajectory(t0=0.0, dt=0.1, x=np.zeros(3), xdot=np.zeros(3), psi=np.zeros(3))
+    traj = Trajectory(dt=0.1, x=np.zeros(3), xdot=np.zeros(3), weight=HistoryWeight(0.0, 2.0))
     with pytest.raises(ValueError):
         traj.x[0] = 1.0
 
@@ -335,7 +340,7 @@ def test_forced_convolution_matches_recursion(params, n):
     dt = 0.01
     t = np.arange(n) * dt
     f = np.cos(1.3 * t) + np.random.default_rng(n).uniform(-0.5, 0.5, n)
-    for got, want in zip(_forced_convolution(params, f, dt), _trapezoid_recursion(eig, f, dt)):
+    for got, want in zip(_forced_convolution(params, f, dt)[:2], _trapezoid_recursion(eig, f, dt)):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
@@ -429,9 +434,9 @@ def test_seeded_scan_matches_long_double_powers(params, t_end, dt):
     n, step = len(t), float(t[1])
     stride = 1 if n <= 100_000 else 1000
     z0 = (REF_STATE.x0, REF_STATE.v0, history_weight(params.kernel, REF_HISTORY).value)
-    x, v = _forced_convolution(params, np.zeros(n), step, z0)
+    x, v, y = _forced_convolution(params, np.zeros(n), step, z0)
     want = _long_double_powers(params, z0, step, n, stride)
-    for got, ref in zip((x[::stride], v[::stride]), want):
+    for got, ref in zip((x[::stride], v[::stride], y[::stride]), want, strict=True):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -475,6 +480,18 @@ def test_trajectory_starts_at_initial_state():
     w = history_weight(REFERENCE.kernel, REF_HISTORY).value
     assert traj.psi[0] == pytest.approx(w, rel=1e-15)
     assert traj.psi == pytest.approx(w * np.exp(-REFERENCE.mu * traj.t), rel=1e-14)
+
+
+def test_forced_trajectory_keeps_internal_variable():
+    # The scan's y row is the memory variable, started at exactly W; psi is
+    # derived from W on the same grid.
+    traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, Sine(1.0, 2.0), 2.0, 1e-3)
+    w = history_weight(REFERENCE.kernel, REF_HISTORY)
+    assert traj.weight == w
+    assert traj.y[0] == w.value
+    assert np.array_equal(traj.psi, w.value * np.exp(-REFERENCE.mu * traj.t))
+    with pytest.raises(ValueError):
+        traj.y[0] = 0.0
 
 
 def test_velocity_channel_consistent_with_displacement():
