@@ -24,7 +24,7 @@ from .errors import NotOscillatory
 from .eigen import EigenSolution, solve_eigen
 from .history import history_weight
 from .model import HistoryProfile, InitialState, OscillatorParams, history_sup_norm
-from .response import _check_resonance, initialization_response, time_grid
+from .response import initialization_response, time_grid
 
 __all__ = ["BoundReport", "split_history_term", "decay_bounds", "verify_decay"]
 
@@ -77,14 +77,10 @@ def split_history_term(
     if np.any(t < 0):
         raise ValueError("the history term is defined for t >= 0")
     scalar = t.ndim == 0
-    if params.c == 0.0 or history is None:
-        zero = np.zeros_like(t)
-        return (0.0, 0.0) if scalar else (zero, zero)
     w = history_weight(params.kernel, history).value
-    if w == 0.0:
+    if params.c == 0.0 or w == 0.0:
         zero = np.zeros_like(t)
         return (0.0, 0.0) if scalar else (zero, zero)
-    _check_resonance(eig, params.mu)
     mu, c = params.mu, params.c
     down = np.exp(-mu * t)
     conv_pair = w * (np.exp(eig.s1 * t) - down) / (eig.s1 + mu)

@@ -132,7 +132,18 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * (t_end / n)
 
 
-def _check_resonance(eig: EigenSolution, rate: float):
+def exp_convolution(eig: EigenSolution, rate: float, t):
+    """Closed form of integral_0^t h(t-tau) exp(-rate*tau) dtau.
+
+    Equals sum_j R_j (exp(s_j t) - exp(-rate t)) / (s_j + rate).  Raises
+    ResonantKernel when a contributing root lies within a relative 1e-8 of
+    -rate, a double pole unless rate = mu.  There R_j = (mu + s_j)/p'(s_j)
+    holds the same float as s_j + mu, so each quotient is 1/p'(s_j) to
+    rounding; the closed-form responses call the sum without this guard.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("convolution is defined for t >= 0")
     # A mode whose residue is exactly zero (the kernel mode at c = 0)
     # contributes nothing, so a pole collision there never materializes.
     for r, s in zip(eig.residues, eig.roots):
@@ -141,19 +152,10 @@ def _check_resonance(eig: EigenSolution, rate: float):
                 f"characteristic root {s:.6g} coincides with -rate = {-rate:.6g}; "
                 "the exponential-convolution closed form has a double pole there"
             )
+    return _exp_convolution(eig, rate, t)
 
 
-def exp_convolution(eig: EigenSolution, rate: float, t):
-    """Closed form of integral_0^t h(t-tau) exp(-rate*tau) dtau.
-
-    Equals sum_j R_j (exp(s_j t) - exp(-rate t)) / (s_j + rate); requires
-    every contributing root to stay clear of -rate (raises ResonantKernel
-    otherwise).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("convolution is defined for t >= 0")
-    _check_resonance(eig, rate)
+def _exp_convolution(eig, rate, t):
     down = np.exp(-rate * t)
     acc = sum(
         r * (np.exp(s * t) - down) / (s + rate)
@@ -164,7 +166,7 @@ def exp_convolution(eig: EigenSolution, rate: float, t):
 
 
 def _exp_convolution_derivative(eig, rate, t):
-    # d/dt of exp_convolution; shares its resonance precondition.
+    # d/dt of _exp_convolution.
     down = np.exp(-rate * t)
     acc = sum(
         r * (s * np.exp(s * t) + rate * down) / (s + rate)
@@ -177,10 +179,7 @@ def _exp_convolution_derivative(eig, rate, t):
 def _assemble(params, eig, state, w, t):
     x = params.m * state.x0 * impulse_response_derivative(eig, t)
     x = x + params.m * state.v0 * impulse_response(eig, t)
-    coeff = params.c * (params.mu * state.x0 - w)
-    if coeff != 0.0:
-        x = x + coeff * exp_convolution(eig, params.mu, t)
-    return x
+    return x + params.c * (params.mu * state.x0 - w) * _exp_convolution(eig, params.mu, t)
 
 
 def _assemble_derivative(params, eig, state, w, t):
@@ -189,10 +188,32 @@ def _assemble_derivative(params, eig, state, w, t):
     )
     v = params.m * state.x0 * _real_part(hddot)
     v = v + params.m * state.v0 * impulse_response_derivative(eig, t)
-    coeff = params.c * (params.mu * state.x0 - w)
-    if coeff != 0.0:
-        v = v + coeff * _exp_convolution_derivative(eig, params.mu, t)
-    return v
+    return v + params.c * (params.mu * state.x0 - w) * _exp_convolution_derivative(
+        eig, params.mu, t
+    )
+
+
+def _closed_form(params, state, history, t):
+    """(eig, weight, t) of the closed form; DegenerateSpectrum when its
+    modal sums miss (x0, v0) at t = 0."""
+    eig = solve_eigen(params)
+    weight = history_weight(params.kernel, history)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("response is defined for t >= 0")
+    # The modal sums reproduce the initial state only while the residues
+    # stay well conditioned; near a double root they cancel to a few digits.
+    scale = max(1.0, abs(state.x0), abs(state.v0))
+    mismatch = max(
+        abs(_assemble(params, eig, state, weight.value, 0.0) - state.x0),
+        abs(_assemble_derivative(params, eig, state, weight.value, 0.0) - state.v0),
+    )
+    if mismatch > 1e-9 * scale:
+        raise DegenerateSpectrum(
+            f"closed form misses the initial state by {mismatch:.3g} "
+            f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
+        )
+    return eig, weight, t
 
 
 def initialization_response(
@@ -202,12 +223,8 @@ def initialization_response(
     t,
 ):
     """Response x(t) to initial state and history, no external force."""
-    eig = solve_eigen(params)
-    w = history_weight(params.kernel, history).value
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("response is defined for t >= 0")
-    return _assemble(params, eig, state, w, t)
+    eig, weight, t = _closed_form(params, state, history, t)
+    return _assemble(params, eig, state, weight.value, t)
 
 
 def response_terms(
@@ -221,20 +238,12 @@ def response_terms(
     Their sum reproduces initialization_response; with c = 0 the history
     and kernel terms are exactly zero.
     """
-    eig = solve_eigen(params)
-    w = history_weight(params.kernel, history).value
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("response is defined for t >= 0")
-    if params.c != 0.0 and (w != 0.0 or state.x0 != 0.0):
-        conv = exp_convolution(eig, params.mu, t)
-    else:
-        conv = 0.0 if t.ndim == 0 else np.zeros_like(t)
-    zero = 0.0 if t.ndim == 0 else np.zeros_like(t)
+    eig, weight, t = _closed_form(params, state, history, t)
+    conv = _exp_convolution(eig, params.mu, t)
     return ResponseTerms(
-        term_history=-params.c * w * conv if params.c != 0.0 else zero,
+        term_history=-params.c * weight.value * conv,
         term_displacement=params.m * state.x0 * impulse_response_derivative(eig, t),
-        term_kernel=params.c * params.mu * state.x0 * conv if params.c != 0.0 else zero,
+        term_kernel=params.c * params.mu * state.x0 * conv,
         term_velocity=params.m * state.v0 * impulse_response(eig, t),
     )
 
@@ -345,24 +354,14 @@ def forced_response(
     and free of roots and residues, and keeps its y row; None or all-zero
     forcing, the closed form, without y.
     """
-    weight = history_weight(params.kernel, history)
     t = time_grid(t_end, dt)
     step = float(t[1])
     f = None if forcing is None else _forcing_on_grid(forcing, t)
-    y = None
     if f is not None and f.any():
+        weight = history_weight(params.kernel, history)
         x, xdot, y = _forced_convolution(params, f, step, (state.x0, state.v0, weight.value))
-    else:
-        eig = solve_eigen(params)
-        x = np.asarray(_assemble(params, eig, state, weight.value, t), dtype=float)
-        xdot = np.asarray(_assemble_derivative(params, eig, state, weight.value, t), dtype=float)
-        # The modal sums reproduce the initial state only while the residues
-        # stay well conditioned; near a double root they cancel to a few digits.
-        scale = max(1.0, abs(state.x0), abs(state.v0))
-        mismatch = max(abs(x[0] - state.x0), abs(xdot[0] - state.v0))
-        if mismatch > 1e-9 * scale:
-            raise DegenerateSpectrum(
-                f"closed form misses the initial state by {mismatch:.3g} "
-                f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
-            )
-    return Trajectory(dt=step, x=x, xdot=xdot, weight=weight, y=y)
+        return Trajectory(dt=step, x=x, xdot=xdot, weight=weight, y=y)
+    eig, weight, t = _closed_form(params, state, history, t)
+    x = np.asarray(_assemble(params, eig, state, weight.value, t), dtype=float)
+    xdot = np.asarray(_assemble_derivative(params, eig, state, weight.value, t), dtype=float)
+    return Trajectory(dt=step, x=x, xdot=xdot, weight=weight)

@@ -220,6 +220,17 @@ def test_forced_respond_on_double_root_exits_0(tmp_path):
     assert out.read_bytes().split(b"\n")[1].startswith(b"0.0,1.0,0.3,")
 
 
+@pytest.mark.parametrize("command", ["respond", "bounds"])
+def test_root_near_kernel_rate_exits_0(tmp_path, command):
+    # the kernel root sits within about 1e-9 of -mu, where the closed form's
+    # quotients R_j/(s_j + mu) = 1/p'(s_j) have no pole
+    doc = {**REF_DOC, "params": {"m": 1.0, "c": 1e-9, "k": 1.0, "mu": 3.0}}
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data.shape[0] == 5001 and np.all(np.isfinite(data))
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     cfg = _write_config(tmp_path, REF_DOC)
     code = cli.main(

@@ -1,12 +1,15 @@
 """Regime contract: validated inputs give an accurate result or a typed error.
 
-Every guard on a numerical invariant must also hold under ``python -O``,
-and forced trajectories must meet their documented O(dt^2) accuracy in
-every spectral regime, not only on the well-separated draws.
+Every guard on a numerical invariant must also hold under ``python -O``.
+Forced trajectories must meet their documented O(dt^2) accuracy in every
+spectral regime, not only on the well-separated draws, and the closed
+forms must match exp(A t) or raise DegenerateSpectrum.
 """
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +18,31 @@ import pytest
 import expdamp
 from expdamp import (
     Constant,
+    DegenerateSpectrum,
     HistoryProfile,
     InitialState,
     OscillatorParams,
     Sine,
     forced_response,
+    initialization_response,
+    response_terms,
+    solve_eigen,
+    split_history_term,
+    verify_decay,
 )
+
+
+@pytest.mark.skipif(sys.flags.optimize > 0, reason="this is the python -O rerun")
+def test_contract_holds_under_python_O():
+    # pytest rewrites the tests' own asserts, which therefore survive -O;
+    # what the rerun tests is that no guard in the package is lost.
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__],
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
 def test_package_has_no_assert_statements():
@@ -129,3 +151,51 @@ def test_forced_response_every_regime(params, forcing):
     fine = _forced_error(params, forcing, 5e-4)
     assert coarse <= 1e-6
     assert 3.0 <= coarse / fine <= 5.0
+
+
+FREE_T = np.array([0.0, 0.5, 3.0, 11.0, 20.0])
+# Rows whose roots cluster closer than float64 can resolve as simple poles.
+CLUSTERED = {"near-double", "exact-double", "triple"}
+
+
+def _free_trajectory(params):
+    traj = forced_response(params, STATE, HISTORY, None, 20.0, 1e-3)
+    i = np.rint(FREE_T / traj.dt).astype(int)
+    return traj.x[i], traj.xdot[i]
+
+
+FREE_ENTRIES = {
+    "forced_response": _free_trajectory,
+    "initialization_response": lambda p: (initialization_response(p, STATE, HISTORY, FREE_T),),
+    "response_terms": lambda p: (response_terms(p, STATE, HISTORY, FREE_T).total,),
+}
+
+
+@pytest.mark.parametrize("entry", FREE_ENTRIES)
+@pytest.mark.parametrize("regime", REGIMES)
+def test_free_response_every_regime(regime, entry):
+    # Every closed form is exp(A t)(x0, v0, W) to 1e-10 of its scale, or
+    # raises DegenerateSpectrum where the roots cluster.
+    params = REGIMES[regime][0]
+    try:
+        got = FREE_ENTRIES[entry](params)
+    except DegenerateSpectrum:
+        if regime not in CLUSTERED:
+            raise
+        return
+    w = HISTORY.shape.value * -math.expm1(-params.mu * HISTORY.a)
+    ref = _exact_samples(params, w, Constant(0.0), 0.5, 41, 1)[:, np.rint(FREE_T / 0.5).astype(int)]
+    # ref holds x and xdot; an entry that returns x alone checks x only.
+    for g, want in zip(got, ref):
+        assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_history_split_and_decay_near_kernel_rate():
+    # A root within about 1e-9 of -mu is no pole of the history term.
+    params = REGIMES["root-near-kernel"][0]
+    t = np.linspace(0.0, 20.0, 201)
+    i1, i2 = split_history_term(params, solve_eigen(params), HISTORY, t)
+    term = response_terms(params, STATE, HISTORY, t).term_history
+    assert np.max(np.abs(i1 + i2 - term)) <= 1e-12 * np.max(np.abs(term))
+    report = verify_decay(params, STATE, HISTORY, 20.0, 1e-2)
+    assert report.bounds_ok and report.envelope_ok and report.tail_ok
