@@ -86,7 +86,8 @@ def split_history_term(
     conv_pair = w * (np.exp(eig.s1 * t) - down) / (eig.s1 + mu)
     i1 = -2.0 * c * (eig.r1 * conv_pair).real
     s3, r3 = eig.s3.real, eig.r3.real
-    i2 = -c * r3 * w * (np.exp(s3 * t) - down) / (s3 + mu)
+    # r3 = (mu + s3)/p'(s3) is exactly 0 when s3 + mu rounds to 0: no mode, not 0/0.
+    i2 = -c * r3 * w * (np.exp(s3 * t) - down) / (s3 + mu) if r3 else np.zeros_like(t)
     if scalar:
         return float(i1), float(i2)
     return np.asarray(i1, dtype=float), np.asarray(i2, dtype=float)

@@ -114,29 +114,6 @@ class EigenSolution:
         return -self.s3.real
 
 
-def _polish(poly: CharacteristicPolynomial, root: complex) -> complex:
-    # Two Newton steps; companion eigenvalues start close enough that
-    # this reaches the floating-point floor.
-    for _ in range(2):
-        dp = poly.deriv(root)
-        if dp == 0:
-            break
-        root = root - poly(root) / dp
-    return root
-
-
-def _residual_scale(poly: CharacteristicPolynomial, s: complex) -> float:
-    c3, c2, c1, c0 = poly.coefficients
-    a = abs(s)
-    return ((abs(c3) * a + abs(c2)) * a + abs(c1)) * a + abs(c0)
-
-
-def _deriv_scale(poly: CharacteristicPolynomial, s: complex) -> float:
-    c3, c2, c1, _ = poly.coefficients
-    a = abs(s)
-    return (3.0 * abs(c3) * a + 2.0 * abs(c2)) * a + abs(c1)
-
-
 def solve_eigen(params: OscillatorParams) -> EigenSolution:
     """Compute roots and residues of the characteristic cubic.
 
@@ -147,29 +124,42 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
 
     Raises DegenerateSpectrum when two roots (nearly) coincide.
     """
-    poly = characteristic_poly(params)
+    # p and p' are written out on the coefficients, all >= 0 and so their
+    # own magnitudes in the error scales: this is every spectrum's hot path.
+    c3, c2, c1, c0 = characteristic_poly(params).coefficients
+    mu = params.mu
     if params.c == 0.0:
         # p factors exactly as (s + mu)*(m*s^2 + k): build the undamped
         # pair and the zero-residue kernel mode directly so the pair sits
         # on the imaginary axis and s3 equals -mu without rounding.
-        beta = math.sqrt(params.k / params.m)
-        s1 = complex(0.0, beta)
-        r1 = (params.mu + s1) / poly.deriv(s1)
+        s1 = complex(0.0, math.sqrt(params.k / params.m))
+        r1 = (mu + s1) / ((3.0 * c3 * s1 + 2.0 * c2) * s1 + c1)
         eig = EigenSolution(
-            s1=s1,
-            s2=s1.conjugate(),
-            s3=complex(-params.mu, 0.0),
-            r1=r1,
-            r2=r1.conjugate(),
-            r3=complex(0.0, 0.0),
-            oscillatory=True,
+            s1, s1.conjugate(), complex(-mu, 0.0), r1, r1.conjugate(), 0j, True
         )
-        _validate(params, poly, eig)
+        _validate(params.m, c3, c2, c1, c0, eig)
         return eig
 
-    c3, c2, c1, c0 = poly.coefficients
-    raw = np.roots([1.0, c2 / c3, c1 / c3, c0 / c3])
-    roots = [_polish(poly, complex(r)) for r in raw]
+    # The companion matrix np.roots builds for the monic cubic, zero
+    # trailing coefficients split off as roots at 0 the way it does.
+    monic = [c2 / c3, c1 / c3, c0 / c3]
+    n = 3
+    while n and monic[n - 1] == 0:
+        n -= 1
+    raw = [0j] * (3 - n)
+    if n:
+        companion = np.eye(n, k=-1)
+        companion[0] = [-a for a in monic[:n]]
+        raw = np.linalg.eigvals(companion).tolist() + raw
+    roots = []
+    for s in raw:
+        s = complex(s)
+        for _ in range(2):  # companion eigenvalues are close: 2 Newton steps suffice
+            dp = (3.0 * c3 * s + 2.0 * c2) * s + c1
+            if dp == 0:
+                break
+            s = s - (((c3 * s + c2) * s + c1) * s + c0) / dp
+        roots.append(s)
 
     scale = max(abs(r) for r in roots)
     for i in range(3):
@@ -180,7 +170,9 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
                     f"(separation below {DEGENERACY_RTOL:g} * spectral scale)"
                 )
     for r in roots:
-        if abs(poly.deriv(r)) < CONDITIONING_FLOOR * _deriv_scale(poly, r):
+        a = abs(r)
+        dp_scale = (3.0 * c3 * a + 2.0 * c2) * a + c1
+        if abs((3.0 * c3 * r + 2.0 * c2) * r + c1) < CONDITIONING_FLOOR * dp_scale:
             raise DegenerateSpectrum(
                 f"characteristic root near {r:.6g} is too ill-conditioned "
                 "to certify as a simple pole (p' vanishes to working precision)"
@@ -189,30 +181,32 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     oscillatory = max(abs(r.imag) for r in roots) > 1e-9 * scale
     if oscillatory:
         roots.sort(key=lambda r: abs(r.imag))
-        s3 = complex(roots[0].real, 0.0)
+        g = roots[0].real
+        s3 = complex(g, 0.0)
         s1 = roots[1] if roots[1].imag > 0 else roots[2]
-        s1 = complex(s1)
         s2 = s1.conjugate()
-        r1 = (params.mu + s1) / poly.deriv(s1)
+        r1 = (mu + s1) / ((3.0 * c3 * s1 + 2.0 * c2) * s1 + c1)
         r2 = r1.conjugate()
-        r3 = complex((params.mu + s3.real) / poly.deriv(s3.real), 0.0)
+        r3 = complex((mu + g) / ((3.0 * c3 * g + 2.0 * c2) * g + c1), 0.0)
     else:
         real_roots = sorted((r.real for r in roots), reverse=True)
         s1, s2, s3 = (complex(r, 0.0) for r in real_roots)
         r1, r2, r3 = (
-            complex((params.mu + r) / poly.deriv(r), 0.0) for r in real_roots
+            complex((mu + r) / ((3.0 * c3 * r + 2.0 * c2) * r + c1), 0.0)
+            for r in real_roots
         )
 
     eig = EigenSolution(s1, s2, s3, r1, r2, r3, oscillatory)
-    _validate(params, poly, eig)
+    _validate(params.m, c3, c2, c1, c0, eig)
     return eig
 
 
-def _validate(params, poly, eig):
+def _validate(m, c3, c2, c1, c0, eig):
     # The root residual is a tripwire: a correct solve lands orders of
     # magnitude below it, and logic errors land at O(1).
     for s in eig.roots:
-        if abs(poly(s)) > 1e-9 * _residual_scale(poly, s):
+        a = abs(s)
+        if abs(((c3 * s + c2) * s + c1) * s + c0) > 1e-9 * (((c3 * a + c2) * a + c1) * a + c0):
             raise ArithmeticError(f"root {s} fails the residual bound")
     # The residue identities are not: near a double root the residues grow
     # like 1/separation and cancel, and roots that pass both the
@@ -226,7 +220,7 @@ def _validate(params, poly, eig):
             "the roots are too close to resolve"
         )
     terms = [r * s for r, s in zip(eig.residues, eig.roots)]
-    inv_m = 1.0 / params.m
+    inv_m = 1.0 / m
     mismatch = abs(sum(terms) - inv_m) / max(inv_m, max(abs(t) for t in terms))
     if mismatch > 1e-8:
         raise DegenerateSpectrum(
@@ -239,13 +233,15 @@ def _real_part(z):
     """Strip a provably-cancelling imaginary part; DegenerateSpectrum if it is
     more than noise (the conjugate residues lost their symmetry)."""
     z = np.asarray(z)
-    im, re_abs = np.abs(z.imag), np.abs(z.real)
-    if not np.all(im <= 1e-10 * re_abs + 1e-12):
-        ratio = float(np.max(im / (re_abs + 1e-12)))
-        raise DegenerateSpectrum(
-            "imaginary part failed to cancel in an exponential-sum evaluation "
-            f"(largest |imag|/|real| = {ratio:.3g}, tolerance 1e-10)"
-        )
+    # Conjugate modes cancel exactly; only a nonzero imag or a NaN real is tested.
+    if z.imag.any() or np.isnan(z.real).any():
+        im, re_abs = np.abs(z.imag), np.abs(z.real)
+        if not np.all(im <= 1e-10 * re_abs + 1e-12):
+            ratio = float(np.max(im / (re_abs + 1e-12)))
+            raise DegenerateSpectrum(
+                "imaginary part failed to cancel in an exponential-sum evaluation "
+                f"(largest |imag|/|real| = {ratio:.3g}, tolerance 1e-10)"
+            )
     re = np.asarray(z.real, dtype=float)
     return re if re.ndim else float(re)
 

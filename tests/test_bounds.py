@@ -1,6 +1,7 @@
 """History-term split, analytic decay bounds, and the decay report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ def test_split_zero_for_zero_history_weight():
 def test_negative_time_rejected(call, t):
     with pytest.raises(ValueError, match="t >= 0"):
         call(solve_eigen(REFERENCE), t)
+
+
+def test_split_kernel_root_rounded_onto_minus_mu():
+    # c so small that s3 + mu and with it r3 = (mu + s3)/p'(s3) are exactly
+    # 0: the dissipative mode is absent, and I2 is 0, not 0/0
+    p = OscillatorParams(m=1.0, c=1e-17, k=1.0, mu=3.0)
+    eig = solve_eigen(p)
+    assert eig.r3 == 0 and eig.s3.real + p.mu == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i1, i2 = split_history_term(p, eig, REF_HISTORY, np.linspace(0.0, 5.0, 11))
+        assert split_history_term(p, eig, REF_HISTORY, 2.0)[1] == 0.0
+        report = verify_decay(p, REF_STATE, REF_HISTORY, 5.0, 1e-2)
+    assert np.all(np.isfinite(i1)) and np.array_equal(i2, np.zeros(11))
+    assert np.array_equal(report.i2_abs, np.zeros_like(report.t))
+    assert np.all(report.ok2) and report.bounds_ok
+    assert report.tail_i2 == 0.0
 
 
 def test_split_reproduces_history_term():

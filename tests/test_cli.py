@@ -169,6 +169,51 @@ def test_eigen_roots_satisfy_cubic(tmp_path, capsys):
         assert abs(m * s**3 + m * mu * s**2 + (k + c * mu) * s + k * mu) < 1e-10
 
 
+def test_eigen_stdout_pinned(tmp_path, capsys):
+    # repr floats of the reference spectrum: every bit of every root and
+    # residue, which a faster solve must not move
+    assert cli.main(["eigen", "--config", _write_config(tmp_path, REF_DOC)]) == 0
+    assert capsys.readouterr().out == EIGEN_REFERENCE_STDOUT
+
+
+EIGEN_REFERENCE_STDOUT = """\
+{
+  "roots": [
+    {
+      "re": -0.12391411055790674,
+      "im": 2.133168459863038
+    },
+    {
+      "re": -0.12391411055790674,
+      "im": -2.133168459863038
+    },
+    {
+      "re": -1.7521717788841864,
+      "im": 0.0
+    }
+  ],
+  "residues": [
+    {
+      "re": -0.017206396093151572,
+      "im": -0.24752683921495594
+    },
+    {
+      "re": -0.017206396093151572,
+      "im": 0.24752683921495594
+    },
+    {
+      "re": 0.034412792186303116,
+      "im": 0.0
+    }
+  ],
+  "alpha": 0.12391411055790674,
+  "beta": 2.133168459863038,
+  "gamma": 1.7521717788841864,
+  "oscillatory": true
+}
+"""
+
+
 def test_eigen_non_oscillatory_nulls(tmp_path, capsys):
     doc = {"params": {"m": 1.0, "c": 5.0 / 3.0, "k": 1.0, "mu": 6.0}}
     code = cli.main(["eigen", "--config", _write_config(tmp_path, doc)])
@@ -229,6 +274,17 @@ def test_root_near_kernel_rate_exits_0(tmp_path, command):
     assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     _, data = _read_csv(out)
     assert data.shape[0] == 5001 and np.all(np.isfinite(data))
+
+
+def test_bounds_kernel_root_rounded_onto_minus_mu(tmp_path, capsys):
+    # r3 and s3 + mu are both exactly 0 here: the I2 cells read 0, not nan
+    doc = {**REF_DOC, "params": {"m": 1.0, "c": 1e-17, "k": 1.0, "mu": 3.0}}
+    out = tmp_path / "b.csv"
+    assert cli.main(["bounds", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert np.all(data[:, 3] == 0.0) and np.all(data[:, 6] == 1.0)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["tail_i2"] == 0.0 and summary["bounds_ok"] is True
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

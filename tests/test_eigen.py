@@ -7,6 +7,7 @@ import pytest
 
 from expdamp import (
     DegenerateSpectrum,
+    EigenSolution,
     InitialState,
     NotOscillatory,
     OscillatorParams,
@@ -159,6 +160,25 @@ def test_real_part_rejects_uncancelled_imaginary_part():
     assert _real_part(np.array([1.0 + 1e-13j, -2.0 + 0j])).tolist() == [1.0, -2.0]
     with pytest.raises(DegenerateSpectrum, match="imaginary"):
         _real_part(np.array([1.0 + 0j, 2.0 + 1e-3j]))
+
+
+def test_real_part_guards_behind_the_exact_zero_fast_path():
+    # an exactly zero imaginary part skips the tolerance test, but a NaN
+    # real part must still fail it
+    with pytest.raises(DegenerateSpectrum, match="imaginary"):
+        _real_part(np.array([np.nan + 0j]))
+    with pytest.raises(DegenerateSpectrum, match="imaginary"):
+        _real_part(complex(np.nan, 0.0))
+    # residues that are not conjugates leave a nonzero imaginary part
+    ref = solve_eigen(REFERENCE)
+    broken = EigenSolution(ref.s1, ref.s2, ref.s3, ref.r1, ref.r1, ref.r3, oscillatory=True)
+    t = np.linspace(0.0, 4.0, 32)
+    for h in (impulse_response, impulse_response_derivative):
+        with pytest.raises(DegenerateSpectrum, match="imaginary"):
+            h(broken, t)
+        with pytest.raises(DegenerateSpectrum, match="imaginary"):
+            h(broken, 1.0)
+        assert h(ref, t).dtype == np.float64 and isinstance(h(ref, 1.0), float)
 
 
 def test_viscous_limit_recovers_damped_pair():
