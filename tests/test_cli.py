@@ -241,11 +241,14 @@ def test_missing_field_exits_2(tmp_path, capsys):
 
 
 def test_degenerate_spectrum_exits_3(tmp_path, capsys):
-    # an exact double root, and a near-double root whose residues cancel
+    # an exact double root, a near-double root whose residues cancel, and
+    # a near-triple root whose Newton polish leaves the cubic
     for params in (
         {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
         {"m": 4.790023392299111, "c": 2.370884056303661,
          "k": 0.315554155795794, "mu": 7.308450407297674},
+        {"m": 0.8241652846999418, "c": 8.84242808307725,
+         "k": 40.023267861691956, "mu": 36.210206052601315},
     ):
         code = cli.main(["eigen", "--config", _write_config(tmp_path, {"params": params})])
         assert code == 3
@@ -435,10 +438,10 @@ def test_csv_text_pinned(tmp_path):
     lines = traj.read_bytes().split(b"\n")
     assert lines[:2] == [
         b"t,x,xdot,psi",
-        b"0.0,0.9999999999999999,0.3000000000000002,0.8646647167633873",
+        b"0.0,0.9999999999999999,0.30000000000000004,0.8646647167633873",
     ]
     assert lines[-2:] == [
-        b"5.0,-0.28162455870953823,1.0076707645965002,3.925571740915665e-05",
+        b"5.0,-0.28162455870953823,1.0076707645965,3.925571740915665e-05",
         b"",
     ]
     lines = bounds.read_bytes().split(b"\n")

@@ -2,8 +2,9 @@
 
 Every guard on a numerical invariant must also hold under ``python -O``.
 Forced trajectories must meet their documented O(dt^2) accuracy in every
-spectral regime, not only on the well-separated draws, and the closed
-forms must match exp(A t) or raise DegenerateSpectrum.
+spectral regime, not only on the well-separated draws, the RK4 oracle its
+O(dt^4) accuracy or StepTooLarge, and the closed forms must match
+exp(A t) or raise DegenerateSpectrum.
 """
 
 import ast
@@ -23,13 +24,16 @@ from expdamp import (
     InitialState,
     OscillatorParams,
     Sine,
+    StepTooLarge,
     forced_response,
     initialization_response,
+    integrate,
     response_terms,
     solve_eigen,
     split_history_term,
     verify_decay,
 )
+from expdamp.oracle import _resolution_limit
 
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this is the python -O rerun")
@@ -131,9 +135,9 @@ def _exact_samples(params, w, forcing, dt, n, stride):
     return np.array(rows, dtype=float).T[:2]
 
 
-def _forced_error(params, forcing, dt):
+def _forced_error(params, forcing, dt, solve=forced_response):
     # max error of x and xdot, each relative to the reference's own maximum
-    traj = forced_response(params, STATE, HISTORY, forcing, 20.0, dt)
+    traj = solve(params, STATE, HISTORY, forcing, 20.0, dt)
     stride = round(0.1 / traj.dt)
     w = HISTORY.shape.value * -math.expm1(-params.mu * HISTORY.a)
     ref = _exact_samples(params, w, forcing, traj.dt, len(traj), stride)
@@ -151,6 +155,27 @@ def test_forced_response_every_regime(params, forcing):
     fine = _forced_error(params, forcing, 5e-4)
     assert coarse <= 1e-6
     assert 3.0 <= coarse / fine <= 5.0
+
+
+@pytest.mark.parametrize("params, forcing", CASES)
+def test_integrate_every_regime(params, forcing):
+    # The RK4 oracle is within 1e-9 at dt = 1e-3 over 20 s wherever its
+    # step guard admits dt, and raises StepTooLarge exactly past the guard.
+    limit = _resolution_limit(params)
+    integrate(params, STATE, HISTORY, forcing, 2.0 * limit, limit)
+    past = limit * (1.0 + 1e-9)
+    with pytest.raises(StepTooLarge):
+        integrate(params, STATE, HISTORY, forcing, 2.0 * past, past)
+    if 1e-3 > limit:
+        with pytest.raises(StepTooLarge):
+            integrate(params, STATE, HISTORY, forcing, 20.0, 1e-3)
+        return
+    coarse = _forced_error(params, forcing, 1e-3, integrate)
+    assert coarse <= 1e-9
+    if params is REGIMES["acceptance"][0]:
+        # elsewhere the error sits at rounding level and does not halve
+        fine = _forced_error(params, forcing, 5e-4, integrate)
+        assert 14.0 <= coarse / fine <= 18.0
 
 
 FREE_T = np.array([0.0, 0.5, 3.0, 11.0, 20.0])
@@ -188,6 +213,22 @@ def test_free_response_every_regime(regime, entry):
     # ref holds x and xdot; an entry that returns x alone checks x only.
     for g, want in zip(got, ref):
         assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _free_xdot_error(params):
+    # free xdot on the 41-point grid of step 0.5, relative to exp(A t)'s maximum
+    traj = forced_response(params, STATE, HISTORY, None, 20.0, 0.5)
+    w = HISTORY.shape.value * -math.expm1(-params.mu * HISTORY.a)
+    want = _exact_samples(params, w, Constant(0.0), traj.dt, len(traj), 1)[1]
+    return np.max(np.abs(traj.xdot - want)) / np.max(np.abs(want))
+
+
+def test_free_velocity_to_rounding():
+    # xdot comes from the same three sums as x, h, hdot and h * exp(-mu t),
+    # so it keeps their accuracy, in the viscous limit too.
+    params = [REGIMES["viscous-limit"][0]] + [_acceptance_draw(seed) for seed in range(300)]
+    worst = max(_free_xdot_error(p) for p in params)
+    assert worst <= 2e-13
 
 
 def test_history_split_and_decay_near_kernel_rate():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import expdamp.eigen
 from expdamp import (
     DegenerateSpectrum,
     EigenSolution,
@@ -17,7 +18,7 @@ from expdamp import (
     integrate,
     solve_eigen,
 )
-from expdamp.eigen import _real_part
+from expdamp.eigen import _real_part, _validate
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -154,6 +155,39 @@ def test_near_double_root_residue_cancellation_rejected():
     )
     with pytest.raises(DegenerateSpectrum, match=r"residues cancel to \|sum R\|/max\|R\|"):
         solve_eigen(p)
+
+
+# Roots -12.0700 +/- 6.3e-5i and -12.0701 from the companion matrix, each
+# with |p| ~ 9e-13; the second Newton step, dividing by a p' that vanishes
+# there, throws them to -12.1516 +/- 0.1446i and -11.962, where |p| ~ 4e-3.
+NEAR_TRIPLE = OscillatorParams(
+    m=0.8241652846999418, c=8.84242808307725, k=40.023267861691956, mu=36.210206052601315
+)
+
+
+def test_near_triple_newton_miss_is_degenerate():
+    with pytest.raises(DegenerateSpectrum, match="residual bound after Newton steps"):
+        solve_eigen(NEAR_TRIPLE)
+
+
+def test_residual_tripwire_still_fires_on_a_wrong_root(monkeypatch):
+    # A root off the cubic by O(1) is a logic error, and stays one unless a
+    # companion eigenvalue sat where p' vanishes.
+    eig = solve_eigen(REFERENCE)
+    wrong = EigenSolution(eig.s1, eig.s2, eig.s3 + 0.5, eig.r1, eig.r2, eig.r3, True)
+    c3, c2, c1, c0 = characteristic_poly(REFERENCE).coefficients
+    with pytest.raises(ArithmeticError, match="fails the residual bound"):
+        _validate(REFERENCE.m, c3, c2, c1, c0, wrong)
+
+    def miss(m, c3, c2, c1, c0, eig):
+        raise ArithmeticError("root fails the residual bound")
+
+    monkeypatch.setattr(expdamp.eigen, "_validate", miss)
+    with pytest.raises(ArithmeticError) as raised:
+        solve_eigen(REFERENCE)
+    assert type(raised.value) is ArithmeticError
+    with pytest.raises(DegenerateSpectrum, match="p' vanishes"):
+        solve_eigen(NEAR_TRIPLE)
 
 
 def test_real_part_rejects_uncancelled_imaginary_part():

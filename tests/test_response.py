@@ -103,8 +103,9 @@ def test_trajectory_validation():
         Trajectory(**{**ok, "xdot": np.zeros(4)})
     with pytest.raises(ValueError):
         Trajectory(**{**ok, "x": np.array([0.0, math.nan, 0.0])})
-    with pytest.raises(ValueError):
-        Trajectory(**{**ok, "dt": 0.0})
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            Trajectory(**{**ok, "dt": dt})
     for w in (math.nan, math.inf):
         with pytest.raises(ValueError, match="history weight"):
             Trajectory(**{**ok, "weight": HistoryWeight(w, 2.0)})
