@@ -169,10 +169,15 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
                     f"repeated characteristic root near {roots[i]:.6g} "
                     f"(separation below {DEGENERACY_RTOL:g} * spectral scale)"
                 )
-    for r in roots:
-        a = abs(r)
+
+    def ill_conditioned(z):
+        # p'(z) vanishes to working precision relative to its scale at |z|.
+        a = abs(z)
         dp_scale = (3.0 * c3 * a + 2.0 * c2) * a + c1
-        if abs((3.0 * c3 * r + 2.0 * c2) * r + c1) < CONDITIONING_FLOOR * dp_scale:
+        return abs((3.0 * c3 * z + 2.0 * c2) * z + c1) < CONDITIONING_FLOOR * dp_scale
+
+    for r in roots:
+        if ill_conditioned(r):
             raise DegenerateSpectrum(
                 f"characteristic root near {r:.6g} is too ill-conditioned "
                 "to certify as a simple pole (p' vanishes to working precision)"
@@ -202,11 +207,7 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     except ArithmeticError as exc:
         # Newton steps from a companion eigenvalue where p' vanishes (a
         # near-triple root) go anywhere: the spectrum's fault, not a bug.
-        if any(
-            abs((3.0 * c3 * z + 2.0 * c2) * z + c1)
-            < CONDITIONING_FLOOR * ((3.0 * c3 * abs(z) + 2.0 * c2) * abs(z) + c1)
-            for z in raw
-        ):
+        if any(ill_conditioned(z) for z in raw):
             raise DegenerateSpectrum(f"{exc} after Newton steps from where p' vanishes") from None
         raise
     return eig

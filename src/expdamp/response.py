@@ -191,11 +191,17 @@ def _closed_form(params, state, history, t):
         raise ValueError("response is defined for t >= 0")
     # The modal sums reproduce the initial state only while the residues
     # stay well conditioned; near a double root they cancel to a few digits.
-    scale = max(1.0, abs(state.x0), abs(state.v0))
-    mismatch = max(
-        abs(_assemble(params, eig, state, weight.value, 0.0) - state.x0),
-        abs(_assemble_derivative(params, eig, state, weight.value, 0.0) - state.v0),
-    )
+    # xdot(0) is d/dt of _assemble term by term, so unlike _assemble_derivative
+    # it also tests hddot(0) = sum R_j s_j^2 = 0, which _validate does not; at
+    # mu >> |s_j| the rounding of conv'(0)'s quotients sets which spectra raise.
+    m, c, mu, x0, v0, w = params.m, params.c, params.mu, state.x0, state.v0, weight.value
+    res, roots = np.array(eig.residues), np.array(eig.roots)
+    live = res != 0
+    conv_dot0 = _real_part(np.sum(res[live] * (roots[live] + mu) / (roots[live] + mu)))
+    xdot0 = m * x0 * _real_part(np.sum(res * roots * roots))
+    xdot0 = xdot0 + m * v0 * impulse_response_derivative(eig, 0.0) + c * (mu * x0 - w) * conv_dot0
+    scale = max(1.0, abs(x0), abs(v0))
+    mismatch = max(abs(_assemble(params, eig, state, w, 0.0) - x0), abs(xdot0 - v0))
     if mismatch > 1e-9 * scale:
         raise DegenerateSpectrum(
             f"closed form misses the initial state by {mismatch:.3g} "

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import expdamp
 from expdamp import (
     Constant,
+    DegenerateSpectrum,
     HistoryProfile,
     HistoryWeight,
     InitialState,
@@ -374,6 +375,28 @@ def test_near_double_root_raises_typed_error(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("DegenerateSpectrum: closed form misses")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        OscillatorParams(
+            m=5.676255430508643, c=27.688413844187547, k=45.04880600356004,
+            mu=22.776643946780386,
+        ),
+        OscillatorParams(
+            m=9.04670390250688, c=3.317710047207302, k=3.018615743961245, mu=1e8,
+        ),
+    ],
+)
+def test_closed_form_checks_second_residue_moment(params):
+    # Seeded near-degenerate draws (three real roots; mu = 1e8) that pass
+    # solve_eigen, but whose velocity at t = 0, built from sum R_j s_j^2,
+    # sum R_j s_j and sum R_j, misses v0 by more than 1e-9 (hddot(0) alone
+    # by 6e-9 at mu = 1e8); their modal sums would miss exp(A t) by up to
+    # 1.9e-9 of its scale, past the 1e-10 of the regime contract.
+    with pytest.raises(DegenerateSpectrum, match="closed form misses"):
+        initialization_response(params, InitialState(-2.0, 5.0), REF_HISTORY, [0.0, 0.7, 3.0])
 
 
 # (params, t_end, dt) for the seeded scan: the reference pair, c = 0, three
