@@ -310,7 +310,7 @@ def _csv(header: str, *columns: np.ndarray) -> str:
     converts a whole column to Python floats in one call, faster than one
     float() per element."""
     cells = [
-        map(str, map(int, col)) if col.dtype == bool else map(repr, col.tolist())
+        np.where(col, "1", "0").tolist() if col.dtype == bool else map(repr, col.tolist())
         for col in columns
     ]
     lines = [header]

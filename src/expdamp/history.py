@@ -54,13 +54,35 @@ def _weight_sine(shape: Sine, mu: float, a: float) -> float:
 
 
 def _weight_polynomial(shape: Polynomial, mu: float, a: float) -> float:
-    # I_n = integral tau^n exp(mu*tau) on [-a, 0], by the parts recurrence.
-    decay = math.exp(-mu * a)
-    i_n = -math.expm1(-mu * a) / mu
-    total = shape.coeffs[0] * i_n
-    for n in range(1, len(shape.coeffs)):
-        i_n = -((-a) ** n * decay + n * i_n) / mu
-        total += shape.coeffs[n] * i_n
+    # I_n = integral tau^n exp(mu*tau) on [-a, 0] = (-1)^n J_n, where J_n is
+    # the integral of s^n exp(-mu*s) on [0, a].
+    top = len(shape.coeffs) - 1
+    x = mu * a
+    decay = math.exp(-x)
+    if x > top:
+        # The parts recurrence upward multiplies rounding by about
+        # n!/(mu*a)^n, which stays near 1 while mu*a > n.
+        i_n = -math.expm1(-x) / mu
+        total = shape.coeffs[0] * i_n
+        for n in range(1, top + 1):
+            i_n = -((-a) ** n * decay + n * i_n) / mu
+            total += shape.coeffs[n] * i_n
+        return mu * total
+    # Below that, J_top = top! a^(top+1) e^-x sum_j x^j/(top+1+j)! and the
+    # recurrence downward, J_{n-1} = (mu J_n + a^n e^-x)/n, add positive
+    # terms only.
+    term = series = 1.0 / math.factorial(top + 1)
+    j = top + 1
+    while term > 1e-17 * series:
+        j += 1
+        term *= x / j
+        series += term
+    j_n = math.factorial(top) * a ** (top + 1) * decay * series
+    total = 0.0
+    for n in range(top, -1, -1):
+        total += shape.coeffs[n] * (-1) ** n * j_n
+        if n:
+            j_n = (mu * j_n + a**n * decay) / n
     return mu * total
 
 

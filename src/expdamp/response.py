@@ -124,8 +124,8 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     The endpoint is honored exactly; the step is nudged to t_end/n, which
     differs from the requested dt by at most half a step over the whole span.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if t_end <= 0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
     steps = t_end / dt
@@ -312,24 +312,47 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
-    """Trapezoid response (x, v, y) to the forcing samples f from state z0.
+    """Cubic-hold response (x, v, y) to the forcing samples f from state z0.
 
     z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
     the whole history, so z0 = (x0, v0, W) is the full initial state; from
     rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
-    kept in long double (in float64 its rounding grows like n*eps), the
-    trapezoid rule is z_i = P z_{i-1} + dt/2*(P b f_{i-1} + b f_i): a _scan.
+    kept in long double (in float64 its rounding grows like n*eps), step i
+    adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic
+    through f_{i-2..i+1}: z_i = P z_{i-1} + g_i, a _scan.  The first and
+    last steps take the four nodes at their end of the grid, and a grid of
+    fewer than 4 points the polynomial through all of them.  So the result
+    is exact for cubic f and O(dt^4) for smooth f.
+
+    With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
+    where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
+    times column 3 + j of exp([[A dt, b dt e0'], [0, N]]), N the 4 x 4
+    shift (Van Loan 1978), and the c_j are V^-1 times the node values, V
+    the Vandermonde matrix of the nodes' tau.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
+    n = len(f)
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
-    p = _expm(a * dt)
-    half = 0.5 * dt
-    g = np.empty((3, len(f)))
+    block = np.zeros((7, 7), dtype=np.longdouble)
+    block[:3, :3] = a * dt
+    block[1, 3] = np.longdouble(dt) / m
+    block[3:, 3:] = np.eye(4, k=1)
+    e = _expm(block)
+    p = e[:3, :3]
+    d = min(3, n - 1)
+    gamma = (e[:3, 3:] * [1, 1, 2, 6]).astype(float)[:, : d + 1]
+    # The first step's nodes sit at tau = 0..d, the last step's at
+    # tau = 1-d..1, and every other step's at tau = -1..2; W = Gamma V^-1.
+    taus = np.arange(d + 1.0) + np.array([[0.0], [1.0 - d], [-1.0]])
+    first, last, inner = gamma @ np.linalg.inv(taus[:, :, None] ** np.arange(d + 1))
+    g = np.empty((3, n))
     g[:, 0] = z0
-    # Written into g, so that no 3 x n temporary is made next to it; only
-    # the v row of b is nonzero.
-    np.multiply.outer(half * p[:, 1].astype(float) / m, f[:-1], out=g[:, 1:])
-    g[1, 1:] += half / m * f[1:]
+    g[:, 1] = first @ f[: d + 1]
+    g[:, -1] = last @ f[-d - 1 :]
+    if n > 3:
+        # one 4-tap correlation per row
+        for row in range(3):
+            g[row, 2:-1] = np.convolve(f, inner[row, ::-1], "valid")
     return _scan(p, g)
 
 

@@ -1,10 +1,11 @@
 """Regime contract: validated inputs give an accurate result or a typed error.
 
 Every guard on a numerical invariant must also hold under ``python -O``.
-Forced trajectories must meet their documented O(dt^2) accuracy in every
-spectral regime, not only on the well-separated draws, the RK4 oracle its
-O(dt^4) accuracy or StepTooLarge, and the closed forms must match
-exp(A t) or raise DegenerateSpectrum.
+Forced trajectories must meet their documented accuracy in every spectral
+regime, not only on the well-separated draws: exact for a constant or cubic
+drive and O(dt^4) for a smooth one.  The RK4 oracle must meet its O(dt^4)
+accuracy or raise StepTooLarge, and the closed forms must match exp(A t) or
+raise DegenerateSpectrum.
 """
 
 import ast
@@ -31,6 +32,7 @@ from expdamp import (
     response_terms,
     solve_eigen,
     split_history_term,
+    time_grid,
     verify_decay,
 )
 from expdamp.oracle import _resolution_limit
@@ -110,13 +112,18 @@ def _expm_long_double(a):
 
 
 def _exact_samples(params, w, forcing, dt, n, stride):
-    """(x, v) at every stride-th grid point, exactly for a Constant or Sine
-    drive: the drive's generator is appended to z = (x, v, y), so that
-    z' = A z has no input and exp(A*stride*dt) steps it exactly."""
+    """(x, v) at every stride-th grid point, exactly for a Constant, Sine
+    or numpy Polynomial drive: the drive's generator is appended to
+    z = (x, v, y), so that z' = A z has no input and exp(A*stride*dt) steps
+    it exactly."""
     m, c, k, mu = params.m, params.c, params.k, params.mu
     if isinstance(forcing, Constant):
         # u' = 0, f = u
         gen, u0, out = [[0.0]], [forcing.value], [1.0]
+    elif isinstance(forcing, np.polynomial.Polynomial):
+        # u = (f, f', f'', ...) shifts down, a nilpotent generator
+        u0 = [forcing.deriv(j)(0.0) for j in range(len(forcing.coef))]
+        gen, out = np.eye(len(u0), k=1), [1.0] + [0.0] * (len(u0) - 1)
     else:
         # (sin, cos)(omega t + phase) rotates at omega, f = amplitude * sin
         om, ph = forcing.omega, forcing.phase
@@ -149,12 +156,30 @@ def _forced_error(params, forcing, dt, solve=forced_response):
 
 @pytest.mark.parametrize("params, forcing", CASES)
 def test_forced_response_every_regime(params, forcing):
-    # The forced scan is the trapezoid rule on the exact step map: 1e-6 at
-    # dt = 1e-3 over 20 s, and second order, in every spectral regime.
-    coarse = _forced_error(params, forcing, 1e-3)
-    fine = _forced_error(params, forcing, 5e-4)
-    assert coarse <= 1e-6
-    assert 3.0 <= coarse / fine <= 5.0
+    # The forced scan integrates the cubic through the samples exactly on
+    # the exact step map: 1e-11 at dt = 1e-3 over 20 s in every spectral
+    # regime, exact for a constant drive and fourth order for a sine.
+    assert _forced_error(params, forcing, 1e-3) <= 1e-11
+    coarse = _forced_error(params, forcing, 0.1)
+    if isinstance(forcing, Constant):
+        assert coarse <= 1e-12
+    else:
+        assert 14.0 <= coarse / _forced_error(params, forcing, 0.05) <= 18.0
+
+
+CUBIC = np.polynomial.Polynomial([0.7, -0.5, 0.03, -1e-4])
+
+
+def _sampled(params, state, history, forcing, t_end, dt):
+    return forced_response(params, state, history, forcing(time_grid(t_end, dt)), t_end, dt)
+
+
+@pytest.mark.parametrize("solve", [forced_response, _sampled], ids=["callable", "samples"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cubic_drive_is_exact_every_regime(regime, solve):
+    # The cubic through any four samples of a cubic drive is the drive
+    # itself, so even at dt = 0.1 only rounding is left.
+    assert _forced_error(REGIMES[regime][0], CUBIC, 0.1, solve) <= 1e-12
 
 
 @pytest.mark.parametrize("params, forcing", CASES)

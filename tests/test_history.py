@@ -93,6 +93,25 @@ def test_polynomial_weight_matches_quadrature():
         assert w.value == pytest.approx(_quadrature_weight(kernel, prof), abs=1e-8)
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_polynomial_weight_stable_for_small_mu_a(degree):
+    # The parts recurrence upward amplifies rounding by about n!/(mu a)^n;
+    # at mu = 1e-6, a = 1 it gave W of the wrong sign.  Checked against
+    # 64-point Gauss-Legendre, which is good to about 1e-13 over these
+    # ranges, for one monomial and for a full polynomial whose terms all
+    # take the sign of W (so that W itself has no cancellation).
+    u, w = np.polynomial.legendre.leggauss(64)
+    for coeffs in ((0.0,) * degree + (1.0,), tuple((-1.0) ** n for n in range(degree + 1))):
+        for mu in np.logspace(-8.0, 2.0, 41):
+            for a in (0.2, 1.0, 3.0):
+                tau = (u - 1.0) * a / 2.0
+                v = np.polynomial.polynomial.polyval(tau, coeffs)
+                want = mu * a / 2.0 * float(np.sum(w * np.exp(mu * tau) * v))
+                prof = HistoryProfile(a=a, shape=Polynomial(coeffs))
+                got = history_weight(ExponentialKernel(mu=float(mu)), prof).value
+                assert abs(got - want) <= 1e-12 * abs(want), (mu, a, coeffs)
+
+
 def test_samples_weight_is_trapezoid_on_own_grid():
     values = (0.3, -0.2, 1.1, 0.7, 0.0)
     prof = HistoryProfile(a=2.0, shape=Samples(values))

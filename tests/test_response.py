@@ -1,6 +1,5 @@
 """Closed-form response assembly, trajectories, and forced convolution."""
 
-import cmath
 import math
 import os
 import subprocess
@@ -63,6 +62,10 @@ def test_time_grid_minimum_two_points():
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         time_grid(1.0, 0.0)
+    # t_end / inf is 0, which is finite, so dt itself must be checked
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            time_grid(5.0, dt)
     with pytest.raises(ValueError):
         time_grid(0.0, 0.1)
     with pytest.raises(ValueError):
@@ -306,18 +309,32 @@ def test_forcing_callable_nan_raises():
         _forcing_on_grid(lambda ti: math.nan if ti > 0.5 else 0.0, time_grid(1.0, 0.1))
 
 
-def _trapezoid_recursion(eig, f, dt):
-    # Reference for the state-space scan: the per-mode trapezoid recursion
-    # C <- exp(s*dt)*(C + dt/2*f_prev) + dt/2*f_here, one step at a time,
-    # over all three modes in complex, weighted by the residues, so it
-    # shares neither the step map exp(A*dt) nor the scan.
-    decay = [cmath.exp(s * dt) for s in eig.roots]
-    c = [0j, 0j, 0j]
+def _cubic_hold_recursion(eig, f, dt):
+    # Reference for the state-space scan, per mode and one step at a time:
+    # C <- exp(s*dt)*C + the integral over the step of exp(s*(dt - u)) times
+    # the cubic through f at the step's four nodes (the polynomial through
+    # all of f on grids shorter than 4), by 16-point Gauss-Legendre on the
+    # Lagrange basis.  The three modes are summed in complex, weighted by
+    # the residues, so it shares neither exp(A*dt), the block exponential of
+    # the hold weights, nor the scan.
+    n, d = len(f), min(3, len(f) - 1)
+    u, gl = np.polynomial.legendre.leggauss(16)
+    tau = (u + 1.0) / 2.0
+    roots, res = np.array(eig.roots), np.array(eig.residues)
+    # (mode, quadrature point) weights of the step integral
+    kernel = dt / 2.0 * gl * np.exp(np.outer(roots, dt * (1.0 - tau)))
+    weights = {}
+    for first in {0, -1, 1 - d}:
+        nodes = range(first, first + d + 1)
+        basis = [np.prod([(tau - q) / (r - q) for q in nodes if q != r], axis=0) for r in nodes]
+        weights[first] = kernel @ np.array(basis).T
+    c = np.zeros(3, complex)
     conv_x, conv_v = [0.0], [0.0]
-    for f_prev, f_here in zip(f[:-1], f[1:]):
-        c = [d * (cj + 0.5 * dt * f_prev) + 0.5 * dt * f_here for d, cj in zip(decay, c)]
-        conv_x.append(sum(r * cj for r, cj in zip(eig.residues, c)).real)
-        conv_v.append(sum(r * s * cj for r, s, cj in zip(eig.residues, eig.roots, c)).real)
+    for i in range(1, n):
+        start = min(max(i - 2, 0), n - 1 - d)
+        c = np.exp(roots * dt) * c + weights[start - i + 1] @ f[start : start + d + 1]
+        conv_x.append((res @ c).real)
+        conv_v.append((res * roots @ c).real)
     return np.array(conv_x), np.array(conv_v)
 
 
@@ -332,17 +349,19 @@ def _trapezoid_recursion(eig, f, dt):
     ids=["damped-pair", "three-real", "undamped", "stiff-kernel"],
 )
 @pytest.mark.parametrize(
-    "n", [2, 3, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+    "n", [2, 3, 4, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
 )
 def test_forced_convolution_matches_recursion(params, n):
-    # grid lengths straddle one chunk (_CHUNK steps); the undamped case
-    # has |exp(s*dt)| = 1 and a zero kernel residue; in the stiff-kernel
-    # case exp(s3*dt)**j underflows to zero well inside one chunk
+    # grid lengths straddle the fewest points of a cubic hold (4) and one
+    # chunk (_CHUNK steps); the undamped case has |exp(s*dt)| = 1 and a
+    # zero kernel residue; in the stiff-kernel case exp(s3*dt)**j
+    # underflows to zero well inside one chunk
     eig = solve_eigen(params)
     dt = 0.01
     t = np.arange(n) * dt
     f = np.cos(1.3 * t) + np.random.default_rng(n).uniform(-0.5, 0.5, n)
-    for got, want in zip(_forced_convolution(params, f, dt)[:2], _trapezoid_recursion(eig, f, dt)):
+    ref = _cubic_hold_recursion(eig, f, dt)
+    for got, want in zip(_forced_convolution(params, f, dt)[:2], ref):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
