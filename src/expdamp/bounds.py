@@ -74,7 +74,7 @@ def split_history_term(
     """(I1, I2): vibratory and dissipative parts of -c*(h*psi)(t)."""
     _require_oscillatory(eig)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("the history term is defined for t >= 0")
     scalar = t.ndim == 0
     w = history_weight(params.kernel, history).value
@@ -114,7 +114,7 @@ def decay_bounds(
     """(B1, B2) envelopes for |I1|, |I2| given the history sup-norm M."""
     _require_oscillatory(eig)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("bounds are defined for t >= 0")
     if m_sup < 0:
         raise ValueError("history sup-norm must be >= 0")

@@ -261,7 +261,7 @@ def _real_part(z):
 def impulse_response(eig: EigenSolution, t):
     """h(t) = sum_j R_j exp(s_j t) for t >= 0 (scalar or array); h(0) = 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("impulse response is causal: t must be >= 0")
     acc = sum(r * np.exp(s * t) for r, s in zip(eig.residues, eig.roots))
     return _real_part(acc)
@@ -270,7 +270,7 @@ def impulse_response(eig: EigenSolution, t):
 def impulse_response_derivative(eig: EigenSolution, t):
     """hdot(t) = sum_j R_j s_j exp(s_j t) for t >= 0; hdot(0) = 1/m."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("impulse response is causal: t must be >= 0")
     acc = sum(r * s * np.exp(s * t) for r, s in zip(eig.residues, eig.roots))
     return _real_part(acc)

@@ -110,6 +110,6 @@ def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) ->
 def psi(kernel: ExponentialKernel, profile: HistoryProfile, t):
     """Initialization force psi(t) = W * exp(-mu*t) for t >= 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("psi is defined for t >= 0")
     return history_weight(kernel, profile).psi(t)

@@ -198,7 +198,7 @@ class HistoryProfile:
 def kernel_eval(kernel: ExponentialKernel, t):
     """Evaluate G(t) = mu*exp(-mu*t) for t >= 0 (scalar or array)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("kernel is only defined for t >= 0")
     out = kernel.mu * np.exp(-kernel.mu * t)
     return out if out.ndim else float(out)
@@ -217,7 +217,7 @@ def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
 def history_eval(profile: HistoryProfile, t):
     """Evaluate the history velocity v(t) for t in [-a, 0] (scalar or array)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < -profile.a) or np.any(t > 0):
+    if not (np.all(t >= -profile.a) and np.all(t <= 0)):
         raise ValueError(f"history time must lie in [-{profile.a}, 0]")
     shape = profile.shape
     if isinstance(shape, Samples):

@@ -44,14 +44,20 @@ def _resolution_limit(params: OscillatorParams) -> float:
 
 
 def _forcing_arrays(forcing, t: np.ndarray, dt: float):
-    # Node values and the step-midpoint values RK4 needs; samples have no
-    # midpoints, so those are averaged.
+    # Node values and the step-midpoint values RK4 needs.  Samples have no
+    # midpoints, so those are read off the cubic through the four nearest
+    # samples, with one node past each end on the polynomial through the
+    # d + 1 = min(4, n) end samples; a linear average would cost RK4 its
+    # O(dt^4).
     if forcing is None:
         return np.zeros(len(t)), np.zeros(len(t) - 1)
     nodes = _forcing_on_grid(forcing, t)
     if callable(forcing) or isinstance(forcing, (Constant, Sine)):
         return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-    return nodes, 0.5 * (nodes[:-1] + nodes[1:])
+    d = min(3, len(nodes) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    f = np.r_[np.dot(ends, nodes[: d + 1]), nodes, np.dot(ends, nodes[: -d - 2 : -1])]
+    return nodes, (9.0 * (f[1:-2] + f[2:-1]) - f[:-3] - f[3:]) / 16.0
 
 
 def integrate(
@@ -65,7 +71,9 @@ def integrate(
     """Classic fixed-step RK4 on (x, v, y); global error O(dt^4).
 
     forcing may be None, a Constant or Sine spec, a callable f(t), or an
-    array of samples on the grid.  The system is linear, so one RK4 step
+    array of samples on the grid; samples enter at each step's midpoint as
+    the cubic through the four nearest of them, so smooth samples keep the
+    O(dt^4) too.  The system is linear, so one RK4 step
     is the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P
     the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
     the identity (giving P) and on unit forcing at the start, middle and

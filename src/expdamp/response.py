@@ -145,7 +145,7 @@ def exp_convolution(eig: EigenSolution, rate: float, t):
     rounding; the closed-form responses call the sum without this guard.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("convolution is defined for t >= 0")
     # A mode whose residue is exactly zero (the kernel mode at c = 0)
     # contributes nothing, so a pole collision there never materializes.
@@ -187,7 +187,7 @@ def _closed_form(params, state, history, t):
     eig = solve_eigen(params)
     weight = history_weight(params.kernel, history)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("response is defined for t >= 0")
     # The modal sums reproduce the initial state only while the residues
     # stay well conditioned; near a double root they cancel to a few digits.
@@ -319,19 +319,18 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
     rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
     kept in long double (in float64 its rounding grows like n*eps), step i
     adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic
-    through f_{i-2..i+1}: z_i = P z_{i-1} + g_i, a _scan.  The first and
-    last steps take the four nodes at their end of the grid, and a grid of
-    fewer than 4 points the polynomial through all of them.  So the result
-    is exact for cubic f and O(dt^4) for smooth f.
+    through f_{i-2..i+1}: z_i = P z_{i-1} + g_i, a _scan.  One node past
+    each end of f, on the polynomial through its d + 1 = min(4, n) nearest
+    samples, gives every step, the end steps of any grid included, its four
+    nodes.  So the result is exact for cubic f and O(dt^4) for smooth f.
 
     With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
     where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
     times column 3 + j of exp([[A dt, b dt e0'], [0, N]]), N the 4 x 4
     shift (Van Loan 1978), and the c_j are V^-1 times the node values, V
-    the Vandermonde matrix of the nodes' tau.
+    the Vandermonde matrix of the nodes' tau = -1..2.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
-    n = len(f)
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
     block = np.zeros((7, 7), dtype=np.longdouble)
     block[:3, :3] = a * dt
@@ -339,20 +338,18 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
     block[3:, 3:] = np.eye(4, k=1)
     e = _expm(block)
     p = e[:3, :3]
-    d = min(3, n - 1)
-    gamma = (e[:3, 3:] * [1, 1, 2, 6]).astype(float)[:, : d + 1]
-    # The first step's nodes sit at tau = 0..d, the last step's at
-    # tau = 1-d..1, and every other step's at tau = -1..2; W = Gamma V^-1.
-    taus = np.arange(d + 1.0) + np.array([[0.0], [1.0 - d], [-1.0]])
-    first, last, inner = gamma @ np.linalg.inv(taus[:, :, None] ** np.arange(d + 1))
-    g = np.empty((3, n))
+    gamma = (e[:3, 3:] * [1, 1, 2, 6]).astype(float)
+    taps = gamma @ np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
+    # The weights (-1)^j C(d+1, j+1) zero the (d+1)-th difference, so each
+    # extra node lies on the polynomial through the d + 1 samples nearest it.
+    d = min(3, len(f) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    f = np.r_[np.dot(ends, f[: d + 1]), f, np.dot(ends, f[: -d - 2 : -1])]
+    g = np.empty((3, len(f) - 2))
     g[:, 0] = z0
-    g[:, 1] = first @ f[: d + 1]
-    g[:, -1] = last @ f[-d - 1 :]
-    if n > 3:
+    for row in range(3):
         # one 4-tap correlation per row
-        for row in range(3):
-            g[row, 2:-1] = np.convolve(f, inner[row, ::-1], "valid")
+        g[row, 1:] = np.convolve(f, taps[row, ::-1], "valid")
     return _scan(p, g)
 
 

@@ -26,9 +26,16 @@ from expdamp import (
     OscillatorParams,
     Sine,
     StepTooLarge,
+    decay_bounds,
+    exp_convolution,
     forced_response,
+    history_eval,
+    impulse_response,
+    impulse_response_derivative,
     initialization_response,
     integrate,
+    kernel_eval,
+    psi,
     response_terms,
     solve_eigen,
     split_history_term,
@@ -36,6 +43,7 @@ from expdamp import (
     verify_decay,
 )
 from expdamp.oracle import _resolution_limit
+from expdamp.response import _CHUNK
 
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this is the python -O rerun")
@@ -203,6 +211,49 @@ def test_integrate_every_regime(params, forcing):
         assert 14.0 <= coarse / fine <= 18.0
 
 
+def _drive(kind, sine, t, i1):
+    """The forcing of a run on the grid t, shifted to start at t[i1]."""
+    if kind == "constant":
+        return Constant(0.8)
+    if kind == "sine":
+        return Sine(sine.amplitude, sine.omega, sine.phase + sine.omega * t[i1])
+    if kind == "cubic":
+        return lambda s: CUBIC(s + t[i1])
+    return np.cos(1.3 * t[i1:] + 0.2)
+
+
+def _continuation_error(solve, params, drive, dt):
+    # (x, v, y) at T1 is the whole state: a run continued from (x(T1),
+    # v(T1)) with a Constant history on [-1, 0] of weight W = y(T1) and the
+    # forcing shifted by T1 must repeat the tail of the run from 0.
+    steps = 3 * _CHUNK + 1000
+    full = solve(params, STATE, HISTORY, drive(time_grid(steps * dt, dt), 0), steps * dt, dt)
+    worst = 0.0
+    for i1 in (_CHUNK, _CHUNK + 777, 3 * _CHUNK - 1):
+        history = HistoryProfile(1.0, Constant(full.y[i1] / -math.expm1(-params.mu)))
+        state = InitialState(full.x[i1], full.xdot[i1])
+        cont = solve(params, state, history, drive(full.t, i1), (steps - i1) * full.dt, full.dt)
+        for got, want in zip((cont.x, cont.xdot, cont.y), (full.x, full.xdot, full.y)):
+            worst = max(worst, np.max(np.abs(got - want[i1:])) / np.max(np.abs(want)))
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["constant", "sine", "cubic", "samples"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_forced_response_continues_from_its_state(regime, kind):
+    params, sine = REGIMES[regime]
+    drive = lambda t, i1: _drive(kind, sine, t, i1)
+    assert _continuation_error(forced_response, params, drive, 1e-3) <= 1e-13
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_integrate_continues_from_its_state(regime):
+    params = REGIMES[regime][0]
+    drive = lambda t, i1: _drive("cubic", None, t, i1)
+    dt = min(1e-3, _resolution_limit(params))
+    assert _continuation_error(integrate, params, drive, dt) <= 1e-13
+
+
 FREE_T = np.array([0.0, 0.5, 3.0, 11.0, 20.0])
 # Rows whose roots cluster closer than float64 can resolve as simple poles.
 CLUSTERED = {"near-double", "exact-double", "triple"}
@@ -265,3 +316,32 @@ def test_history_split_and_decay_near_kernel_rate():
     assert np.max(np.abs(i1 + i2 - term)) <= 1e-12 * np.max(np.abs(term))
     report = verify_decay(params, STATE, HISTORY, 20.0, 1e-2)
     assert report.bounds_ok and report.envelope_ok and report.tail_ok
+
+
+# A damped pair, as split_history_term and decay_bounds need.
+PAIR = OscillatorParams(1.0, 0.5, 4.0, 2.0)
+TIME_ENTRIES = {
+    "initialization_response": lambda t: initialization_response(PAIR, STATE, HISTORY, t),
+    "response_terms": lambda t: response_terms(PAIR, STATE, HISTORY, t),
+    "impulse_response": lambda t: impulse_response(solve_eigen(PAIR), t),
+    "impulse_response_derivative": lambda t: impulse_response_derivative(solve_eigen(PAIR), t),
+    "exp_convolution": lambda t: exp_convolution(solve_eigen(PAIR), 1.0, t),
+    "split_history_term": lambda t: split_history_term(PAIR, solve_eigen(PAIR), HISTORY, t),
+    "decay_bounds": lambda t: decay_bounds(PAIR, solve_eigen(PAIR), 1.0, 1.0, t),
+    "kernel_eval": lambda t: kernel_eval(PAIR.kernel, t),
+    "psi": lambda t: psi(PAIR.kernel, HISTORY, t),
+    # history time runs over [-a, 0]
+    "history_eval": lambda t: history_eval(HISTORY, -t),
+}
+
+
+@pytest.mark.parametrize(
+    "t", [math.nan, np.array([0.0, math.nan, 1.0])], ids=["scalar", "array"]
+)
+@pytest.mark.parametrize("entry", TIME_ENTRIES)
+def test_nan_time_raises_value_error(entry, t):
+    # NaN fails every comparison, so a guard written as any(t < 0) lets it
+    # through to a NaN result or a DegenerateSpectrum.
+    with pytest.raises(ValueError) as err:
+        TIME_ENTRIES[entry](t)
+    assert type(err.value) is ValueError
