@@ -116,8 +116,10 @@ def decay_bounds(
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("bounds are defined for t >= 0")
-    if m_sup < 0:
-        raise ValueError("history sup-norm must be >= 0")
+    if not 0 <= m_sup < math.inf:
+        raise ValueError(f"history sup-norm must be finite and >= 0, got {m_sup}")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"history length a must be finite and >= 0, got {a}")
     mu, c = params.mu, params.c
     depth = -math.expm1(-mu * a)
     coeff1 = 2.0 * c * abs(eig.r1) * m_sup * depth

@@ -209,16 +209,24 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
         # near-triple root) go anywhere: the spectrum's fault, not a bug.
         if any(ill_conditioned(z) for z in raw):
             raise DegenerateSpectrum(f"{exc} after Newton steps from where p' vanishes") from None
+        # So do they, or they overflow to NaN, from a root smaller than
+        # float64 resolves at the scale of the largest (the pair at mu ~ 1e118).
+        raw_abs = [abs(z) for z in raw]
+        if not min(raw_abs) >= DEGENERACY_RTOL * max(raw_abs):
+            raise DegenerateSpectrum(
+                f"{exc}; some roots lie below float64's resolution at the spectral scale"
+            ) from None
         raise
     return eig
 
 
 def _validate(m, c3, c2, c1, c0, eig):
     # The root residual is a tripwire: a correct solve lands orders of
-    # magnitude below it, and logic errors land at O(1).
+    # magnitude below it, and logic errors land at O(1).  Each test is
+    # written "not <=", so that a NaN fails it.
     for s in eig.roots:
         a = abs(s)
-        if abs(((c3 * s + c2) * s + c1) * s + c0) > 1e-9 * (((c3 * a + c2) * a + c1) * a + c0):
+        if not abs(((c3 * s + c2) * s + c1) * s + c0) <= 1e-9 * (((c3 * a + c2) * a + c1) * a + c0):
             raise ArithmeticError(f"root {s} fails the residual bound")
     # The residue identities are not: near a double root the residues grow
     # like 1/separation and cancel, and roots that pass both the
@@ -226,7 +234,7 @@ def _validate(m, c3, c2, c1, c0, eig):
     # sums short of 8 digits.  That is the spectrum's fault, not a bug.
     rmax = max(abs(r) for r in eig.residues)
     residue_sum = abs(sum(eig.residues)) / rmax
-    if residue_sum > 1e-8:
+    if not residue_sum <= 1e-8:
         raise DegenerateSpectrum(
             f"residues cancel to |sum R|/max|R| = {residue_sum:.3g} (tolerance 1e-8); "
             "the roots are too close to resolve"
@@ -234,7 +242,7 @@ def _validate(m, c3, c2, c1, c0, eig):
     terms = [r * s for r, s in zip(eig.residues, eig.roots)]
     inv_m = 1.0 / m
     mismatch = abs(sum(terms) - inv_m) / max(inv_m, max(abs(t) for t in terms))
-    if mismatch > 1e-8:
+    if not mismatch <= 1e-8:
         raise DegenerateSpectrum(
             f"first residue moment misses 1/m by {mismatch:.3g} of its scale "
             "(tolerance 1e-8); the roots are too close to resolve"

@@ -138,8 +138,8 @@ def convolution_check(
     """
     if trajectory.y is None:
         raise ValueError(
-            "trajectory lacks the internal damping variable; "
-            "produce it with oracle.integrate or a forced forced_response"
+            "trajectory lacks the internal damping variable; forced_response "
+            "leaves it out only for forcing=None, and oracle.integrate never does"
         )
     y_conv = history_weight(params.kernel, history).psi(trajectory.t)
     y_conv += _kernel_trapezoid_convolution(trajectory.xdot, trajectory.dt, params.mu)

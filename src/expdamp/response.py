@@ -11,7 +11,7 @@ convolution shape because the history term -c*(h*psi) is W times the
 same integral.  With conv that integral, conv' = h - mu*conv, and the
 equation of motion of h (h(0) = 0) reads m*hddot = -k*h - c*mu*(h - mu*conv),
 so xdot = m*v0*hdot - k*x0*h - c*W*(h - mu*conv) needs no further sums.
-Nonzero forcing instead scans (x, v, y) from (x0, v0, W).
+Any given forcing, zero included, instead scans (x, v, y) from (x0, v0, W).
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def exp_convolution(eig: EigenSolution, rate: float, t):
     rounding; the closed-form responses call the sum without this guard.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("convolution is defined for t >= 0")
+    if not (-math.inf < rate < math.inf and np.all(t >= 0)):
+        raise ValueError(f"convolution is defined for t >= 0 and a finite rate, (rate = {rate})")
     # A mode whose residue is exactly zero (the kernel mode at c = 0)
     # contributes nothing, so a pole collision there never materializes.
     for r, s in zip(eig.residues, eig.roots):
@@ -363,15 +363,14 @@ def forced_response(
 ) -> Trajectory:
     """Trajectory on [0, t_end]: initialization response plus h*f.
 
-    forcing may be None, a Constant or Sine spec, a callable f(t), or grid
-    samples.  Nonzero forcing gives one scan from (x0, v0, W), exact at t=0
-    and free of roots and residues, and keeps its y row; None or all-zero
-    forcing, the closed form, without y.
+    forcing=None gives the closed form, without y.  A Constant or Sine spec,
+    a callable f(t) or grid samples, zero or not, give one scan from
+    (x0, v0, W), exact at t=0, free of roots and residues, with its y row.
     """
     t = time_grid(t_end, dt)
     step = float(t[1])
-    f = None if forcing is None else _forcing_on_grid(forcing, t)
-    if f is not None and f.any():
+    if forcing is not None:
+        f = _forcing_on_grid(forcing, t)
         weight = history_weight(params.kernel, history)
         x, xdot, y = _forced_convolution(params, f, step, (state.x0, state.v0, weight.value))
         return Trajectory(dt=step, x=x, xdot=xdot, weight=weight, y=y)

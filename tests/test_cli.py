@@ -241,10 +241,12 @@ def test_missing_field_exits_2(tmp_path, capsys):
 
 
 def test_degenerate_spectrum_exits_3(tmp_path, capsys):
-    # an exact double root, a near-double root whose residues cancel, and
-    # a near-triple root whose Newton polish leaves the cubic
+    # an exact double root, a near-double root whose residues cancel, a
+    # near-triple root whose Newton polish leaves the cubic, and a pair
+    # below float64's resolution at the scale of mu
     for params in (
         {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
+        {"m": 1.0, "c": 0.5, "k": 4.0, "mu": 1e158},
         {"m": 4.790023392299111, "c": 2.370884056303661,
          "k": 0.315554155795794, "mu": 7.308450407297674},
         {"m": 0.8241652846999418, "c": 8.84242808307725,

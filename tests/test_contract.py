@@ -24,12 +24,14 @@ from expdamp import (
     HistoryProfile,
     InitialState,
     OscillatorParams,
+    Samples,
     Sine,
     StepTooLarge,
     decay_bounds,
     exp_convolution,
     forced_response,
     history_eval,
+    history_weight,
     impulse_response,
     impulse_response_derivative,
     initialization_response,
@@ -215,6 +217,8 @@ def _drive(kind, sine, t, i1):
     """The forcing of a run on the grid t, shifted to start at t[i1]."""
     if kind == "constant":
         return Constant(0.8)
+    if kind == "zero":
+        return Constant(0.0)
     if kind == "sine":
         return Sine(sine.amplitude, sine.omega, sine.phase + sine.omega * t[i1])
     if kind == "cubic":
@@ -238,7 +242,7 @@ def _continuation_error(solve, params, drive, dt):
     return worst
 
 
-@pytest.mark.parametrize("kind", ["constant", "sine", "cubic", "samples"])
+@pytest.mark.parametrize("kind", ["constant", "sine", "cubic", "samples", "zero"])
 @pytest.mark.parametrize("regime", REGIMES)
 def test_forced_response_continues_from_its_state(regime, kind):
     params, sine = REGIMES[regime]
@@ -254,19 +258,33 @@ def test_integrate_continues_from_its_state(regime):
     assert _continuation_error(integrate, params, drive, dt) <= 1e-13
 
 
+def test_own_velocity_as_sampled_history_gives_y():
+    # A run from W = 0 whose velocity on [0, T1] becomes a Samples history
+    # on [-T1, 0] hands on its y(T1) as W: the trapezoid W converges to it
+    # at O(dt^2).
+    params, forcing = OscillatorParams(1.0, 0.5, 4.0, 2.0), Sine(1.0, 2.0, 0.4)
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        run = forced_response(params, STATE, None, forcing, 4.0, dt)
+        history = HistoryProfile(4.0, Samples(tuple(run.xdot)))
+        errors.append(abs(history_weight(params.kernel, history).value - run.y[-1]))
+    assert all(3.5 <= coarse / fine <= 4.5 for coarse, fine in zip(errors, errors[1:]))
+
+
 FREE_T = np.array([0.0, 0.5, 3.0, 11.0, 20.0])
 # Rows whose roots cluster closer than float64 can resolve as simple poles.
 CLUSTERED = {"near-double", "exact-double", "triple"}
 
 
-def _free_trajectory(params):
-    traj = forced_response(params, STATE, HISTORY, None, 20.0, 1e-3)
+def _free_trajectory(params, forcing=None):
+    traj = forced_response(params, STATE, HISTORY, forcing, 20.0, 1e-3)
     i = np.rint(FREE_T / traj.dt).astype(int)
     return traj.x[i], traj.xdot[i]
 
 
 FREE_ENTRIES = {
     "forced_response": _free_trajectory,
+    "forced_response-zero": lambda p: _free_trajectory(p, Constant(0.0)),
     "initialization_response": lambda p: (initialization_response(p, STATE, HISTORY, FREE_T),),
     "response_terms": lambda p: (response_terms(p, STATE, HISTORY, FREE_T).total,),
 }
@@ -276,12 +294,13 @@ FREE_ENTRIES = {
 @pytest.mark.parametrize("regime", REGIMES)
 def test_free_response_every_regime(regime, entry):
     # Every closed form is exp(A t)(x0, v0, W) to 1e-10 of its scale, or
-    # raises DegenerateSpectrum where the roots cluster.
+    # raises DegenerateSpectrum where the roots cluster.  The scan of a zero
+    # drive needs no simple roots and never raises.
     params = REGIMES[regime][0]
     try:
         got = FREE_ENTRIES[entry](params)
     except DegenerateSpectrum:
-        if regime not in CLUSTERED:
+        if regime not in CLUSTERED or entry == "forced_response-zero":
             raise
         return
     w = HISTORY.shape.value * -math.expm1(-params.mu * HISTORY.a)
@@ -344,4 +363,26 @@ def test_nan_time_raises_value_error(entry, t):
     # through to a NaN result or a DegenerateSpectrum.
     with pytest.raises(ValueError) as err:
         TIME_ENTRIES[entry](t)
+    assert type(err.value) is ValueError
+
+
+SCALAR_ARGS = {
+    "m_sup": lambda v: decay_bounds(PAIR, solve_eigen(PAIR), v, 1.0, 1.0),
+    "a": lambda v: decay_bounds(PAIR, solve_eigen(PAIR), 1.0, v, 1.0),
+    "rate": lambda v: exp_convolution(solve_eigen(PAIR), v, 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("arg", SCALAR_ARGS)
+def test_invalid_scalar_argument_raises_value_error(arg, value):
+    # A NaN or infinite m_sup, a or rate gave NaN, inf or a
+    # DegenerateSpectrum, and a negative m_sup or a negative envelopes.
+    # a = 0 (no history) and any finite rate stay valid.
+    call = SCALAR_ARGS[arg]
+    if value == 0.0 or (arg == "rate" and value == -1.0):
+        assert np.all(np.isfinite(call(value)))
+        return
+    with pytest.raises(ValueError) as err:
+        call(value)
     assert type(err.value) is ValueError

@@ -1,5 +1,6 @@
 """Characteristic cubic roots, residues, and the impulse response."""
 
+import cmath
 import math
 
 import numpy as np
@@ -168,6 +169,24 @@ NEAR_TRIPLE = OscillatorParams(
 def test_near_triple_newton_miss_is_degenerate():
     with pytest.raises(DegenerateSpectrum, match="residual bound after Newton steps"):
         solve_eigen(NEAR_TRIPLE)
+
+
+# Companion eigenvalues [-mu, -0.5, 0] at mu >= 1e118 put the pair below
+# float64's resolution at scale mu; at k = 1e260 and 1e300 the Newton step
+# overflows to NaN, which a gate written with > or < lets through.
+EXTREME_SCALE = [OscillatorParams(1.0, 0.5, 4.0, mu) for mu in (1e118, 1e158, 1e208, 1e258, 1e298)]
+EXTREME_SCALE += [OscillatorParams(1.0, 1.0, k, 1.0) for k in (1e260, 1e300)]
+
+
+@pytest.mark.parametrize("params", EXTREME_SCALE, ids=lambda p: f"mu={p.mu:g},k={p.k:g}")
+def test_extreme_scale_is_degenerate(params):
+    with pytest.raises(DegenerateSpectrum):
+        solve_eigen(params)
+
+
+def test_extreme_stiffness_still_solves():
+    eig = solve_eigen(OscillatorParams(1.0, 1.0, 1e280, 1.0))
+    assert all(map(cmath.isfinite, eig.roots + eig.residues))
 
 
 def test_residual_tripwire_still_fires_on_a_wrong_root(monkeypatch):

@@ -202,13 +202,29 @@ def test_response_terms_sum_to_response():
 
 
 def test_forced_response_none_equals_zero_forcing():
-    # forcing that is zero on the whole grid selects the closed form, bit
-    # for bit, whatever its kind
+    # forcing=None takes the closed form; a zero forcing of any kind is
+    # scanned from (x0, v0, W) like any other, agrees to rounding and keeps
+    # its y row
     a = forced_response(REFERENCE, REF_STATE, REF_HISTORY, None, 5.0, 1e-3)
+    assert a.y is None
     for zero in (lambda t: 0.0, Constant(0.0), np.zeros(5001)):
         b = forced_response(REFERENCE, REF_STATE, REF_HISTORY, zero, 5.0, 1e-3)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.xdot, b.xdot)
+        for got, want in ((b.x, a.x), (b.xdot, a.xdot)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert b.y[0] == b.weight.value == a.weight.value
+
+
+def test_zero_forcing_needs_no_simple_roots():
+    # At a near-double root the closed form raises, while a zero forcing is
+    # one scan and agrees with the RK4 oracle.
+    p = OscillatorParams(m=1.0, c=1.28 * (1.0 + 1e-8), k=0.6, mu=5.0)
+    with pytest.raises(DegenerateSpectrum):
+        forced_response(p, REF_STATE, REF_HISTORY, None, 20.0, 1e-3)
+    ref = integrate(p, REF_STATE, REF_HISTORY, Constant(0.0), 20.0, 1e-3)
+    for zero in (lambda t: 0.0, Constant(0.0), np.zeros(20001)):
+        b = forced_response(p, REF_STATE, REF_HISTORY, zero, 20.0, 1e-3)
+        assert np.max(np.abs(b.x - ref.x)) <= 1e-12
+        assert np.max(np.abs(b.xdot - ref.xdot)) <= 1e-12
 
 
 def test_forced_response_undamped_step():
