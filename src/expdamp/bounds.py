@@ -33,8 +33,10 @@ __all__ = ["BoundReport", "split_history_term", "decay_bounds", "verify_decay"]
 class BoundReport:
     """Per-sample bound checks plus tail/envelope assertions.
 
-    envelope_ok and tail_ok are None when the assertions were skipped
-    (undamped spectrum, c = 0).
+    envelope_ok and tail_ok are None, and tail_time is inf, when the
+    assertions were skipped: for an undamped spectrum (c = 0), and where
+    rho = min(alpha, gamma, mu) is not positive enough for 30/rho to be a
+    finite time.
     """
 
     t: np.ndarray
@@ -149,7 +151,8 @@ def verify_decay(
     Envelope and tail assertions run on internal analytic grids (the
     closed forms are O(1) per point), so they do not depend on t_end.
     Failed assertions come back as flags, never exceptions; undamped
-    systems (c = 0) skip the decay assertions entirely.
+    systems (c = 0), and decay rates below float64's resolution (30/rho
+    not finite), skip the decay assertions entirely.
     """
     eig = solve_eigen(params)
     _require_oscillatory(eig)
@@ -171,16 +174,16 @@ def verify_decay(
     ok2 = i2_abs <= b2 + 1e-10
 
     undamped = params.c == 0.0
-    if undamped:
+    alpha, beta, gamma = eig.alpha, eig.beta, eig.gamma
+    rho = min(alpha, gamma, params.mu)
+    if undamped or not rho > 30.0 / np.finfo(float).max:
         return BoundReport(
             t=t, i1_abs=i1_abs, i2_abs=i2_abs, b1=np.asarray(b1), b2=np.asarray(b2),
-            ok1=ok1, ok2=ok2, undamped=True, envelope_ok=None,
+            ok1=ok1, ok2=ok2, undamped=undamped, envelope_ok=None,
             tail_time=math.inf, tail_x=math.nan, tail_i1=math.nan,
             tail_i2=math.nan, tail_ok=None,
         )
 
-    alpha, beta, gamma = eig.alpha, eig.beta, eig.gamma
-    rho = min(alpha, gamma, params.mu)
     scale = _amplitude_scale(state, w, params, beta)
     atol = 1e-12 * scale
 

@@ -2,7 +2,8 @@
 kernel, pre-initial velocity histories, and initial state.
 
 All types are immutable after construction and validate their invariants
-eagerly, so downstream formulas never have to re-check positivity.
+eagerly, so downstream formulas never have to re-check positivity.  They
+store scalars as Python floats, so results do not depend on the input type.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("m", "c", "k", "mu"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if self.m <= 0:
             raise ValueError(f"mass m must be > 0, got {self.m}")
         if self.k <= 0:
@@ -71,7 +72,7 @@ class ExponentialKernel:
     mu: float
 
     def __post_init__(self):
-        _check_finite("mu", self.mu)
+        object.__setattr__(self, "mu", _check_finite("mu", self.mu))
         if self.mu <= 0:
             raise ValueError(f"kernel rate mu must be > 0, got {self.mu}")
 
@@ -84,8 +85,8 @@ class InitialState:
     v0: float = 0.0
 
     def __post_init__(self):
-        _check_finite("x0", self.x0)
-        _check_finite("v0", self.v0)
+        for name in ("x0", "v0"):
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +98,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        _check_finite("value", self.value)
+        object.__setattr__(self, "value", _check_finite("value", self.value))
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,8 @@ class Sine:
     phase: float = 0.0
 
     def __post_init__(self):
-        _check_finite("amplitude", self.amplitude)
-        _check_finite("omega", self.omega)
-        _check_finite("phase", self.phase)
+        for name in ("amplitude", "omega", "phase"):
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class HistoryProfile:
     shape: HistoryShape
 
     def __post_init__(self):
-        _check_finite("a", self.a)
+        object.__setattr__(self, "a", _check_finite("a", self.a))
         if self.a <= 0:
             raise ValueError(f"history duration a must be > 0, got {self.a}")
         if not isinstance(self.shape, (Constant, Sine, Polynomial, Samples)):

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import StepTooLarge
 from .history import history_weight
 from .model import Constant, HistoryProfile, InitialState, OscillatorParams, Sine
+from .model import ExponentialKernel, Polynomial
 from .response import Trajectory, _forcing_on_grid, _scan, time_grid
 
 __all__ = ["integrate", "convolution_check"]
@@ -30,33 +31,30 @@ __all__ = ["integrate", "convolution_check"]
 
 def _resolution_limit(params: OscillatorParams) -> float:
     # Step guard: resolve both the kernel time scale and the fastest
-    # oscillation.  Root magnitudes via companion eigenvalues only; the
-    # solution path stays independent of the pole-residue machinery.
+    # oscillation.  Real roots lie in [-mu, 0), so max|root| binds below
+    # 1/mu only as a complex pair's.  Companion eigenvalues only: the
+    # oracle stays independent of residues.
     m, c, k, mu = params.m, params.c, params.k, params.mu
     roots = np.roots([m, m * mu, k + c * mu, k * mu])
-    mags = np.abs(roots)
-    imag = np.abs(roots.imag)
-    if imag.max() > 1e-9 * mags.max():
-        pair_mag = mags[int(np.argmax(imag))]
-    else:
-        pair_mag = mags.max()
-    return 0.05 * min(1.0 / mu, 2.0 * math.pi / pair_mag)
+    return 0.05 * min(1.0 / mu, 2.0 * math.pi / np.abs(roots).max())
+
+
+def _extend(nodes: np.ndarray) -> np.ndarray:
+    # One node past each end on the polynomial through the d + 1 = min(4, n)
+    # end samples: the weights (-1)^j C(d+1, j+1) zero its (d+1)-th difference.
+    d = min(3, len(nodes) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    return np.r_[np.dot(ends, nodes[: d + 1]), nodes, np.dot(ends, nodes[: -d - 2 : -1])]
 
 
 def _forcing_arrays(forcing, t: np.ndarray, dt: float):
-    # Node values and the step-midpoint values RK4 needs.  Samples have no
-    # midpoints, so those are read off the cubic through the four nearest
-    # samples, with one node past each end on the polynomial through the
-    # d + 1 = min(4, n) end samples; a linear average would cost RK4 its
-    # O(dt^4).
-    if forcing is None:
-        return np.zeros(len(t)), np.zeros(len(t) - 1)
-    nodes = _forcing_on_grid(forcing, t)
+    # Node values and the step-midpoint values RK4 needs.  Samples, and no
+    # forcing as zero samples, take midpoints off the cubic through the four
+    # nearest samples; a linear average would cost RK4 its O(dt^4).
+    nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
     if callable(forcing) or isinstance(forcing, (Constant, Sine)):
         return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-    d = min(3, len(nodes) - 1)
-    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    f = np.r_[np.dot(ends, nodes[: d + 1]), nodes, np.dot(ends, nodes[: -d - 2 : -1])]
+    f = _extend(nodes)
     return nodes, (9.0 * (f[1:-2] + f[2:-1]) - f[:-3] - f[3:]) / 16.0
 
 
@@ -116,14 +114,18 @@ def integrate(
     return Trajectory(dt=dt, x=xs, xdot=vs, weight=weight, y=ys)
 
 
-def _kernel_trapezoid_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
-    """Trapezoid sums integral_0^{t_n} mu*exp(-mu*(t_n-tau))*values(tau) dtau
-    for every n: the recurrence acc_n = e*(acc_{n-1} + h*values_{n-1})
-    + h*values_n, e = exp(-mu*dt), h = mu*dt/2, solved by the doubling scan."""
-    decay = math.exp(-mu * dt)
+def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
+    """integral_0^{t_n} mu*exp(-mu*(t_n-tau))*values(tau) dtau for all n, each
+    step the W (rate mu*dt, u = (tau-t_n)/dt in [-1, 0]) of the cubic through
+    its four nearest samples: history_weight's moments of u^j times V^-1, V
+    the Vandermonde matrix of u = -2..1; the scan adds the decay e^(-mu*dt)."""
+    kernel = ExponentialKernel(mu * dt)
+    moments = [history_weight(kernel, HistoryProfile(1.0, Polynomial(e[: j + 1]))).value
+               for j, e in enumerate(np.eye(4))]
+    taps = moments @ np.linalg.inv(np.arange(-2.0, 2.0)[:, None] ** np.arange(4))
     acc = np.zeros((1, len(values)))
-    acc[0, 1:] = 0.5 * mu * dt * (decay * values[:-1] + values[1:])
-    return _scan(np.array([[decay]]), acc)[0]
+    acc[0, 1:] = np.convolve(_extend(values), taps[::-1], "valid")
+    return _scan(np.array([[math.exp(-mu * dt)]]), acc)[0]
 
 
 def convolution_check(
@@ -134,7 +136,8 @@ def convolution_check(
     """Max deviation between the internal damping variable y and the
     defining convolution recomputed from the stored velocity samples.
 
-    The deviation is bounded by the trapezoid error, O(dt^2).
+    xdot is read as the cubic through the four samples nearest each step,
+    so the check is exact for cubic xdot and O(dt^4) otherwise.
     """
     if trajectory.y is None:
         raise ValueError(
@@ -142,5 +145,5 @@ def convolution_check(
             "leaves it out only for forcing=None, and oracle.integrate never does"
         )
     y_conv = history_weight(params.kernel, history).psi(trajectory.t)
-    y_conv += _kernel_trapezoid_convolution(trajectory.xdot, trajectory.dt, params.mu)
+    y_conv += _kernel_cubic_convolution(trajectory.xdot, trajectory.dt, params.mu)
     return float(np.max(np.abs(trajectory.y - y_conv)))

@@ -326,19 +326,20 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
 
     With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
     where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
-    times column 3 + j of exp([[A dt, b dt e0'], [0, N]]), N the 4 x 4
-    shift (Van Loan 1978), and the c_j are V^-1 times the node values, V
-    the Vandermonde matrix of the nodes' tau = -1..2.
+    dt/m times column 3 + j of exp([[A dt, e1 e0'], [0, N]]), N the 4 x 4
+    shift (Van Loan 1978): linear in the forcing column, which enters at
+    unit scale so that dt/m cannot inflate the block's norm.  The c_j are
+    V^-1 times the node values, V the Vandermonde matrix of tau = -1..2.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
     block = np.zeros((7, 7), dtype=np.longdouble)
     block[:3, :3] = a * dt
-    block[1, 3] = np.longdouble(dt) / m
+    block[1, 3] = 1
     block[3:, 3:] = np.eye(4, k=1)
     e = _expm(block)
     p = e[:3, :3]
-    gamma = (e[:3, 3:] * [1, 1, 2, 6]).astype(float)
+    gamma = (e[:3, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
     taps = gamma @ np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
     # The weights (-1)^j C(d+1, j+1) zero the (d+1)-th difference, so each
     # extra node lies on the polynomial through the d + 1 samples nearest it.

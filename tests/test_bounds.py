@@ -220,6 +220,32 @@ def test_verify_decay_undamped_skips_assertions():
     assert report.bounds_ok  # I1 = I2 = 0 <= 0 bounds
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        OscillatorParams(
+            0.0016213372804896628, 1.1028128930609017e-22,
+            1.5373727780192145e-06, 1.6118122070268333e-18,
+        ),
+        OscillatorParams(
+            3688.848019473763, 1.2650160271160216e-11,
+            9.189577401419158e+28, 1.4332705821422379e-07,
+        ),
+    ],
+    ids=["alpha-negative", "alpha-minus-zero"],
+)
+def test_verify_decay_skips_decay_below_resolution(params):
+    # The true alpha is about 1e-52 in both, below the roots' resolution:
+    # it rounds to -5.35e-35 and to -0.0.  30/rho is then no finite time,
+    # so the decay assertions are skipped as for c = 0, rather than asking
+    # for the response at t < 0 or dividing by zero.
+    assert solve_eigen(params).alpha <= 0.0
+    report = verify_decay(params, REF_STATE, REF_HISTORY, 1.0, 0.01)
+    assert not report.undamped
+    assert report.envelope_ok is None and report.tail_ok is None
+    assert report.tail_time == math.inf
+
+
 def test_verify_decay_rejects_non_oscillatory():
     p = OscillatorParams(m=1.0, c=5.0 / 3.0, k=1.0, mu=6.0)
     with pytest.raises(NotOscillatory):

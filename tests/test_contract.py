@@ -326,6 +326,44 @@ def test_free_velocity_to_rounding():
     assert worst <= 2e-13
 
 
+CASE_D = (6.673141086833076e26, 2172638.666111693, 4.3754647856790055e-21, 7.206403042208273e-25)
+
+
+def _scenario(scalar, params):
+    # params with the reference state and history, every input scalar
+    # converted by scalar
+    return (
+        OscillatorParams(*map(scalar, params)),
+        InitialState(scalar(1.0), scalar(0.3)),
+        HistoryProfile(scalar(1.0), Constant(scalar(1.0))),
+    )
+
+
+def test_numpy_scalar_inputs_give_python_float_results():
+    # The validated dataclasses store the Python floats they check, so a
+    # float64 input gives the bits a float gives, and the same verdict: at
+    # CASE_D the modal sums miss x(0), so the closed form must raise for
+    # either type rather than return x(1) = 1.0 where x(1) = 1.3.
+    results = []
+    for scalar in (float, np.float64):
+        params, state, history = _scenario(scalar, (1.0, 0.5, 4.0, 2.0))
+        sine = Sine(scalar(1.0), scalar(2.0), scalar(0.0))
+        assert type(params.mu) is type(state.v0) is type(history.a) is float
+        eig = solve_eigen(params)
+        free = forced_response(params, state, history, None, 5.0, 1e-3)
+        forced = forced_response(params, state, history, sine, 5.0, 1e-3)
+        rk4 = integrate(params, state, history, sine, 5.0, 1e-3)
+        report = verify_decay(params, state, history, 5.0, 1e-2)
+        out = [eig.roots, eig.residues, free.x, free.xdot, forced.x, forced.xdot, forced.y]
+        out += [rk4.x, rk4.xdot, rk4.y, report.i1_abs, report.i2_abs, report.b1, report.b2]
+        out += [[report.tail_time, report.tail_x, report.tail_i1, report.tail_i2]]
+        results.append([np.asarray(a).tobytes() for a in out])
+        assert report.envelope_ok and report.tail_ok
+        with pytest.raises(DegenerateSpectrum, match="misses the initial state"):
+            forced_response(*_scenario(scalar, CASE_D), None, 1.0, 0.01)
+    assert results[0] == results[1]
+
+
 def test_history_split_and_decay_near_kernel_rate():
     # A root within about 1e-9 of -mu is no pole of the history term.
     params = REGIMES["root-near-kernel"][0]

@@ -499,6 +499,23 @@ def test_seeded_scan_matches_long_double_powers(params, t_end, dt):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+def test_forcing_column_at_unit_scale_keeps_step_map_exact():
+    # Here dt/m = 2e13 while omega*dt = 3.5.  The forcing column enters the
+    # block exponential at unit scale, so dt/m does not set its scaling
+    # (at dt/m it cost the step map 2.3e-8), and the zero-drive scan is
+    # exp(A dt)^j to rounding.
+    params = OscillatorParams(
+        4.815206360330216e-16, 1.1285792255437578e-17, 5.844051476591806e-11, 3.337316448603724e-23
+    )
+    traj = forced_response(params, InitialState(1.0, 0.3), None, Constant(0.0), 1.0, 0.01)
+    want = _long_double_powers(params, (1.0, 0.3, 0.0), traj.dt, len(traj), 1)
+    for got, ref in zip((traj.x, traj.xdot, traj.y), want, strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize(
     "params",
     [
