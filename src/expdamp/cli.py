@@ -297,25 +297,39 @@ def load_config(path) -> ScenarioConfig:
 # CSV and JSON emission. repr floats round-trip exactly.
 
 
-def _write_text(path, text: str):
+def _write_text(path, parts):
+    """Write the strings of the iterable parts, in order, as one file."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv(header: str, *columns: np.ndarray) -> str:
-    """One row per index: flag columns as 0/1, numbers with repr.  tolist()
-    converts a whole column to Python floats in one call, faster than one
-    float() per element."""
+def _csv(header: str | None, *columns: np.ndarray) -> str:
+    """One row per index after the header line (none for header=None): flag
+    columns as 0/1, numbers with repr.  tolist() converts a whole column to
+    Python floats in one call, faster than one float() per element."""
     cells = [
         np.where(col, "1", "0").tolist() if col.dtype == bool else map(repr, col.tolist())
         for col in columns
     ]
-    lines = [header]
+    lines = [] if header is None else [header]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+# Rows per slice of _csv_slices.  Each row's cells, line and text are
+# Python objects about six times the row's bytes, so a writer that takes
+# the slices one by one holds only one slice of them at a time.
+_CSV_ROWS = 32_768
+
+
+def _csv_slices(header: str, *columns: np.ndarray):
+    """The text of _csv(header, *columns), _CSV_ROWS rows at a time."""
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        rows = (col[start : start + _CSV_ROWS] for col in columns)
+        yield _csv(None if start else header, *rows)
 
 
 def _read_csv_columns(path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -357,7 +371,7 @@ def _emit_json(doc: dict, out_path) -> str:
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out_path:
-        _write_text(out_path, text)
+        _write_text(out_path, [text])
     return text
 
 
@@ -416,7 +430,7 @@ def _cmd_trajectory(args, solve) -> int:
     t = time_grid(t_end, dt)
     forcing = _realize_forcing(cfg.forcing, t, Path(args.config).resolve().parent)
     traj = solve(cfg.params, cfg.initial, cfg.history, forcing, t_end, dt)
-    _write_text(args.out, _csv("t,x,xdot,psi", traj.t, traj.x, traj.xdot, traj.psi))
+    _write_text(args.out, _csv_slices("t,x,xdot,psi", traj.t, traj.x, traj.xdot, traj.psi))
     return EXIT_OK
 
 
@@ -450,7 +464,7 @@ def _cmd_bounds(args) -> int:
     cfg, t_end, dt = _load_gridded(args)
     report = verify_decay(cfg.params, cfg.initial, cfg.history, t_end, dt)
     columns = (report.i1_abs, report.b1, report.i2_abs, report.b2, report.ok1, report.ok2)
-    _write_text(args.out, _csv("t,I1_abs,B1,I2_abs,B2,ok1,ok2", report.t, *columns))
+    _write_text(args.out, _csv_slices("t,I1_abs,B1,I2_abs,B2,ok1,ok2", report.t, *columns))
     summary = {
         "rows": int(len(report.t)),
         "bounds_ok": report.bounds_ok,

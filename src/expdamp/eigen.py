@@ -122,7 +122,8 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     R_j = (mu + s_j)/p'(s_j), identical to 1/dbar'(s_j) at the zeros but
     free of the kernel pole at s = -mu.
 
-    Raises DegenerateSpectrum when two roots (nearly) coincide.
+    Raises DegenerateSpectrum when two roots (nearly) coincide, or, for
+    c > 0, when a coefficient of the monic cubic overflows float64.
     """
     # p and p' are written out on the coefficients, all >= 0 and so their
     # own magnitudes in the error scales: this is every spectrum's hot path.
@@ -143,6 +144,12 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     # The companion matrix np.roots builds for the monic cubic, zero
     # trailing coefficients split off as roots at 0 the way it does.
     monic = [c2 / c3, c1 / c3, c0 / c3]
+    if not all(map(math.isfinite, monic)):
+        # eigvals would reject the companion matrix with a bare LinAlgError.
+        raise DegenerateSpectrum(
+            "the monic characteristic cubic overflows float64: coefficients "
+            + ", ".join(f"{a:.6g}" for a in monic)
+        )
     n = 3
     while n and monic[n - 1] == 0:
         n -= 1

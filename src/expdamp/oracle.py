@@ -21,9 +21,8 @@ import math
 import numpy as np
 
 from .errors import StepTooLarge
-from .history import history_weight
-from .model import Constant, HistoryProfile, InitialState, OscillatorParams, Sine
-from .model import ExponentialKernel, Polynomial
+from .history import _weight_polynomial, history_weight
+from .model import Constant, HistoryProfile, InitialState, OscillatorParams, Polynomial, Sine
 from .response import Trajectory, _forcing_on_grid, _scan, time_grid
 
 __all__ = ["integrate", "convolution_check"]
@@ -118,9 +117,10 @@ def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.nd
     """integral_0^{t_n} mu*exp(-mu*(t_n-tau))*values(tau) dtau for all n, each
     step the W (rate mu*dt, u = (tau-t_n)/dt in [-1, 0]) of the cubic through
     its four nearest samples: history_weight's moments of u^j times V^-1, V
-    the Vandermonde matrix of u = -2..1; the scan adds the decay e^(-mu*dt)."""
-    kernel = ExponentialKernel(mu * dt)
-    moments = [history_weight(kernel, HistoryProfile(1.0, Polynomial(e[: j + 1]))).value
+    the Vandermonde matrix of u = -2..1; the scan adds the decay e^(-mu*dt).
+    The moments come from history's polynomial rule at the raw rate, which
+    gives exactly 0 where mu*dt underflows and a kernel would reject it."""
+    moments = [_weight_polynomial(Polynomial(e[: j + 1]), mu * dt, 1.0)
                for j, e in enumerate(np.eye(4))]
     taps = moments @ np.linalg.inv(np.arange(-2.0, 2.0)[:, None] ** np.arange(4))
     acc = np.zeros((1, len(values)))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from expdamp import Constant, Sine, cli
+from expdamp import Constant, Sine, cli, forced_response, integrate, verify_decay
 from expdamp.cli import (
     ConfigError,
     SamplesForcing,
@@ -257,6 +257,14 @@ def test_degenerate_spectrum_exits_3(tmp_path, capsys):
         assert "DegenerateSpectrum" in capsys.readouterr().err
 
 
+def test_overflowing_cubic_exits_3(tmp_path, capsys):
+    # k*mu overflows float64: a typed spectrum error, not "invalid input"
+    params = {"m": 1.0, "c": 1.0, "k": 1e200, "mu": 1e200}
+    code = cli.main(["eigen", "--config", _write_config(tmp_path, {"params": params})])
+    assert code == 3
+    assert "DegenerateSpectrum" in capsys.readouterr().err
+
+
 def test_forced_respond_on_double_root_exits_0(tmp_path):
     # forced trajectories need no residues, so the exact double root of
     # (s+1)^2 (s+2) that eigen rejects still gives a trajectory
@@ -455,6 +463,30 @@ def test_csv_text_pinned(tmp_path):
     ]
     flags = cli._csv("t,ok", np.array([0.5, 1e-20]), np.array([True, False]))
     assert flags == "t,ok\n0.5,1\n1e-20,0\n"
+
+
+def test_csv_written_in_slices_matches_one_shot_text(tmp_path, monkeypatch):
+    # Slices of 64 rows split the 5001-row files 79 ways, the last slice
+    # short; the bytes are those of one _csv call on the whole columns.
+    forced = {**REF_DOC, "forcing": {"type": "sine", "amplitude": 1.0, "omega": 2.0}}
+    cfg = load_config(_write_config(tmp_path, forced))
+    args = (cfg.params, cfg.initial, cfg.history, cfg.forcing, cfg.t_end, cfg.dt)
+    report = verify_decay(cfg.params, cfg.initial, cfg.history, cfg.t_end, cfg.dt)
+    one_shot = {}
+    for command, solve in (("respond", forced_response), ("oracle", integrate)):
+        traj = solve(*args)
+        one_shot[command] = cli._csv("t,x,xdot,psi", traj.t, traj.x, traj.xdot, traj.psi)
+    one_shot["bounds"] = cli._csv(
+        "t,I1_abs,B1,I2_abs,B2,ok1,ok2", report.t, report.i1_abs, report.b1,
+        report.i2_abs, report.b2, report.ok1, report.ok2,
+    )
+    monkeypatch.setattr(cli, "_CSV_ROWS", 64)
+    for command, text in one_shot.items():
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == text.encode("utf-8"), command
+    assert "".join(cli._csv_slices("t", np.arange(128.0))) == cli._csv("t", np.arange(128.0))
 
 
 def test_bounds_non_oscillatory_exits_3(tmp_path, capsys):

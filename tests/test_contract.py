@@ -424,3 +424,40 @@ def test_invalid_scalar_argument_raises_value_error(arg, value):
     with pytest.raises(ValueError) as err:
         call(value)
     assert type(err.value) is ValueError
+
+
+# The time-unit map below on the reference, a MEMS-like oscillator in SI
+# units, and a badly scaled case whose step guard rejects dt 0.01.
+UNIT_CASES = [
+    (OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0), 0.01, 20.0, Sine(1.0, 2.0, 0.0)),
+    (OscillatorParams(m=1e-9, c=1e-7, k=1.0, mu=5e4), 1e-6, 2e-3, Sine(1.0, 2e4, 0.3)),
+    (
+        OscillatorParams(
+            m=4.815206360330216e-16, c=1.1285792255437578e-17,
+            k=5.844051476591806e-11, mu=3.337316448603724e-23,
+        ),
+        5e-4, 1.0, Sine(1e-10, 300.0, 0.3),
+    ),
+]
+
+
+@pytest.mark.parametrize("params, dt, t_end, forcing", UNIT_CASES, ids=["reference", "mems", "C"])
+def test_integrate_invariant_under_time_units(params, dt, t_end, forcing):
+    # Time in units lam = 2^j times larger: (m, lam c, lam^2 k, lam mu),
+    # dt/lam, t_end/lam, lam v0, history lam*v on [-a/lam, 0], forcing
+    # lam^2 f(lam t).  Every map is exact in binary, so x and xdot/lam must
+    # agree at matching indices.
+    def run(lam):
+        scaled = OscillatorParams(params.m, lam * params.c, lam**2 * params.k, lam * params.mu)
+        drive = Sine(lam**2 * forcing.amplitude, lam * forcing.omega, forcing.phase)
+        history = HistoryProfile(a=1.0 / lam, shape=Constant(lam))
+        traj = integrate(
+            scaled, InitialState(1.0, lam * 0.3), history, drive, t_end / lam, dt / lam
+        )
+        return traj.x, traj.xdot / lam
+
+    x, xdot = run(1.0)
+    for j in range(-20, 21):
+        x_j, xdot_j = run(2.0**j)
+        assert np.max(np.abs(x_j - x)) <= 1e-14 * np.max(np.abs(x)), j
+        assert np.max(np.abs(xdot_j - xdot)) <= 1e-14 * np.max(np.abs(xdot)), j

@@ -184,6 +184,23 @@ def test_extreme_scale_is_degenerate(params):
         solve_eigen(params)
 
 
+# k*mu overflows, and in the second (a draw of a log-uniform scale probe
+# on [1e-150, 1e150]) so does (k + c*mu)/m: eigvals would refuse the
+# companion matrix with a bare LinAlgError.
+OVERFLOWING_CUBIC = [
+    OscillatorParams(1.0, 1.0, 1e200, 1e200),
+    OscillatorParams(
+        2.9227065244160766e-126, 3.699067753786442e106, 2.426883077091397e108, 9.14384646071273e112
+    ),
+]
+
+
+@pytest.mark.parametrize("params", OVERFLOWING_CUBIC, ids=["k*mu", "scale-probe"])
+def test_overflowing_cubic_is_degenerate(params):
+    with pytest.raises(DegenerateSpectrum, match="overflows float64"):
+        solve_eigen(params)
+
+
 def test_extreme_stiffness_still_solves():
     eig = solve_eigen(OscillatorParams(1.0, 1.0, 1e280, 1.0))
     assert all(map(cmath.isfinite, eig.roots + eig.residues))

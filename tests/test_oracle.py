@@ -175,6 +175,17 @@ def test_convolution_check_requires_internal_variable():
         convolution_check(REFERENCE, REF_HISTORY, traj)
 
 
+@pytest.mark.parametrize("mu", [5e-324, 1e-310])
+def test_convolution_check_at_subnormal_rate(mu):
+    # mu*dt underflows to 0 at 5e-324, where no kernel of that rate exists,
+    # and is subnormal at 1e-310; the step moments are then exactly 0 and
+    # y holds W to within subnormal rounding.
+    params = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=mu)
+    traj = forced_response(params, REF_STATE, REF_HISTORY, Sine(1.0, 2.0, 0.0), 20.0, 0.1)
+    assert convolution_check(params, REF_HISTORY, traj) <= 1e-300
+    assert not np.any(_kernel_cubic_convolution(traj.xdot, traj.dt, 5e-324))
+
+
 def _stepwise_kernel_convolution(values, size, dt, mu):
     # Reference: each step's integral of mu*exp(-mu*(t_n - tau))*values(tau)
     # on u = (tau - t_n)/dt in [-1, 0] by 10-point Gauss-Legendre on 16
