@@ -298,7 +298,13 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _write_text(path, parts):
-    """Write the strings of the iterable parts, in order, as one file."""
+    """Write the strings of the iterable parts, in order, as one file.
+
+    The file is truncated before the first part is made, so an error while
+    a lazy iterable makes its parts (a MemoryError on a long grid, say)
+    leaves a cut-short file, as a failed write does; the error itself
+    propagates, since only OSError maps to _WriteError.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(parts)

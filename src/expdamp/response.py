@@ -242,14 +242,6 @@ def response_terms(
     )
 
 
-# The forced path takes the grid _CHUNK points at a time, so its
-# temporaries keep one size whatever the grid length.  A doubling scan of
-# the whole grid at once is memory-bound: on 3 x 1e6 columns (2-CPU host,
-# min of 9) it took 77 ms and 24 MB traced, against 41 ms and 0.15 MB
-# chunked.
-_CHUNK = 4096
-
-
 def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     if isinstance(forcing, (Constant, Sine)):
         values = _shape_eval(forcing, t)
@@ -279,6 +271,13 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("forcing must be finite on the whole grid")
     return values
+
+
+# _scan takes the grid _CHUNK columns at a time, so its temporaries keep
+# one size whatever the grid length.  A doubling scan of the whole grid at
+# once is memory-bound: on 3 x 1e6 columns (2-CPU host, min of 9) it took
+# 77 ms and 24 MB traced, against 41 ms and 0.15 MB chunked.
+_CHUNK = 4096
 
 
 def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -319,10 +318,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hold_step_map(params, dt: float):
-    """(P, taps): the exact step map P = exp(A*dt) of z = (x, v, y), and the
-    (3, 4) weights that give g_i, the exact integral over step i of
-    exp(A*(dt - s)) b against the cubic through f_{i-2..i+1}, b = (0, 1/m, 0).
+def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
+    """Cubic-hold response (x, v, y) to the forcing samples f from state z0.
+
+    z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
+    the whole history, so z0 = (x0, v0, W) is the full initial state; from
+    rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
+    kept in long double (in float64 its rounding grows like n*eps), step i
+    adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic
+    through f_{i-2..i+1}: z_i = P z_{i-1} + g_i, a _scan.  One node past
+    each end of f, on the polynomial through its d + 1 = min(4, n) nearest
+    samples, gives every step, the end steps of any grid included, its four
+    nodes.  So the result is exact for cubic f and O(dt^4) for smooth f.
 
     With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
     where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
@@ -330,7 +337,6 @@ def _hold_step_map(params, dt: float):
     shift (Van Loan 1978): linear in the forcing column, which enters at
     unit scale so that dt/m cannot inflate the block's norm.  The c_j are
     V^-1 times the node values, V the Vandermonde matrix of tau = -1..2.
-    P stays in long double: in float64 its rounding grows like n*eps.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
@@ -341,40 +347,17 @@ def _hold_step_map(params, dt: float):
     e = _expm(block)
     p = e[:3, :3]
     gamma = (e[:3, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
-    return p, gamma @ np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
-
-
-def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
-    """Cubic-hold response (x, v, y) to the forcing samples f from state z0.
-
-    z = (x, v, y) obeys z' = A z + b f, and y(0) = W holds the whole
-    history, so z0 = (x0, v0, W) is the full initial state; from rest the
-    rows are h*f and hdot*f.  Step i adds g_i of _hold_step_map:
-    z_i = P z_{i-1} + g_i, a _scan.  One node past each end of f, on the
-    polynomial through its d + 1 = min(4, n) nearest samples, gives every
-    step, the end steps of any grid included, its four nodes.  So the
-    result is exact for cubic f and O(dt^4) for smooth f.
-    """
-    p, taps = _hold_step_map(params, dt)
+    taps = gamma @ np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
     # The weights (-1)^j C(d+1, j+1) zero the (d+1)-th difference, so each
     # extra node lies on the polynomial through the d + 1 samples nearest it.
-    n = len(f)
-    d = min(3, n - 1)
+    d = min(3, len(f) - 1)
     ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    before, after = [np.dot(ends, f[: d + 1])], [np.dot(ends, f[: -d - 2 : -1])]
-    g = np.empty((3, n))
+    f = np.r_[np.dot(ends, f[: d + 1]), f, np.dot(ends, f[: -d - 2 : -1])]
+    g = np.empty((3, len(f) - 2))
     g[:, 0] = z0
-    for start in range(1, n, _CHUNK):
-        # Steps start.. take the nodes f_{start-2..start+_CHUNK}, the extra
-        # ones included, copied one chunk at a time.
-        nodes = np.concatenate([
-            before if start == 1 else [],
-            f[max(start - 2, 0) : start + _CHUNK + 1],
-            after if start + _CHUNK >= n else [],
-        ])
-        for row in range(3):
-            # one 4-tap correlation per row
-            g[row, start : start + _CHUNK] = np.convolve(nodes, taps[row, ::-1], "valid")
+    for row in range(3):
+        # one 4-tap correlation per row
+        g[row, 1:] = np.convolve(f, taps[row, ::-1], "valid")
     return _scan(p, g)
 
 
