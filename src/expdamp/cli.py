@@ -58,7 +58,6 @@ __all__ = [
     "ScenarioConfig",
     "SamplesForcing",
     "parse_config",
-    "serialize_config",
     "load_config",
     "main",
 ]
@@ -246,37 +245,6 @@ def parse_config(doc) -> ScenarioConfig:
         _positive(dt, "grid.dt:")
 
     return ScenarioConfig(params, initial, history, forcing, t_end, dt)
-
-
-def _fields(obj) -> dict:
-    """A dataclass's fields as JSON values: tuples become lists, None is left out."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None:
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _typed_section(table: dict, obj, **extra) -> dict:
-    kind = next(name for name, cls in table.items() if type(obj) is cls)
-    return {"type": kind, **extra, **_fields(obj)}
-
-
-def serialize_config(cfg: ScenarioConfig) -> dict:
-    """Canonical JSON form; parse_config(serialize_config(cfg)) == cfg."""
-    history = cfg.history
-    doc = {
-        "params": _fields(cfg.params),
-        "initial": _fields(cfg.initial),
-        "history": {"type": "none"} if history is None
-        else _typed_section(_HISTORY_TYPES, history.shape, a=history.a),
-        "forcing": {"type": "none"} if cfg.forcing is None
-        else _typed_section(_FORCING_TYPES, cfg.forcing),
-    }
-    if cfg.t_end is not None and cfg.dt is not None:
-        doc["grid"] = {"t_end": cfg.t_end, "dt": cfg.dt}
-    return doc
 
 
 def load_config(path) -> ScenarioConfig:
@@ -504,10 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p_eigen = scenario_parser(
-        "eigen", "roots, residues, and decay rates as JSON", out_required=False
-    )
-    del p_eigen
+    scenario_parser("eigen", "roots, residues, and decay rates as JSON", out_required=False)
 
     for name, help_text in (
         ("respond", "trajectory CSV: closed form, or one state-space scan when forced"),

@@ -122,8 +122,9 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     R_j = (mu + s_j)/p'(s_j), identical to 1/dbar'(s_j) at the zeros but
     free of the kernel pole at s = -mu.
 
-    Raises DegenerateSpectrum when two roots (nearly) coincide, or, for
-    c > 0, when a coefficient of the monic cubic overflows float64.
+    Raises DegenerateSpectrum when two roots (nearly) coincide, for c > 0
+    when a coefficient of the monic cubic overflows float64, and for c = 0
+    when the cubic cannot be evaluated at its exact roots in float64.
     """
     # p and p' are written out on the coefficients, all >= 0 and so their
     # own magnitudes in the error scales: this is every spectrum's hot path.
@@ -138,7 +139,15 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
         eig = EigenSolution(
             s1, s1.conjugate(), complex(-mu, 0.0), r1, r1.conjugate(), 0j, True
         )
-        _validate(params.m, c3, c2, c1, c0, eig)
+        try:
+            _validate(params.m, c3, c2, c1, c0, eig)
+        except ArithmeticError as exc:
+            # These roots are exact, so only float64's range can fail them:
+            # k*mu or sqrt(k/m) overflows or underflows, or p does at them.
+            raise DegenerateSpectrum(
+                f"{exc}; the c = 0 roots +/-i sqrt(k/m) and -mu are exact, "
+                "so the cubic's scale is beyond float64"
+            ) from None
         return eig
 
     # The companion matrix np.roots builds for the monic cubic, zero
@@ -173,8 +182,9 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
         for j in range(i + 1, 3):
             if abs(roots[i] - roots[j]) < DEGENERACY_RTOL * scale:
                 raise DegenerateSpectrum(
-                    f"repeated characteristic root near {roots[i]:.6g} "
-                    f"(separation below {DEGENERACY_RTOL:g} * spectral scale)"
+                    f"repeated characteristic root: companion eigenvalues "
+                    f"{complex(raw[i]):.6g} and {complex(raw[j]):.6g} polish to within "
+                    f"{DEGENERACY_RTOL:g} * spectral scale"
                 )
 
     def ill_conditioned(z):

@@ -214,6 +214,30 @@ def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
     return np.polynomial.polynomial.polyval(t, shape.coeffs)
 
 
+# The cubic hold: step i of a sampled signal, from t_i to t_i + dt, reads the
+# cubic through its samples at tau = (t - t_i)/dt = -1..2; the inverse of the
+# Vandermonde matrix on those nodes maps the four samples to its coefficients.
+_HOLD_INVERSE = np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
+
+
+def _hold(f: np.ndarray, moments, out: np.ndarray) -> np.ndarray:
+    """out[r, i] = sum_j moments[r][j] c_ij, c_ij the tau^j coefficient of the
+    cubic hold on step i of the n samples f: each moment row is what a linear
+    functional gives for tau^j, and out has n - 1 columns.
+
+    One node past each end of f, on the polynomial through its d + 1 =
+    min(4, n) nearest samples, gives every step, the end steps included,
+    its four nodes: the weights (-1)^j C(d+1, j+1) zero the (d+1)-th
+    difference.  So the hold is exact for cubic f.
+    """
+    d = min(3, len(f) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    f = np.r_[np.dot(ends, f[: d + 1]), f, np.dot(ends, f[: -d - 2 : -1])]
+    for row, taps in zip(out, np.asarray(moments) @ _HOLD_INVERSE):
+        row[:] = np.convolve(f, taps[::-1], "valid")  # one 4-tap correlation
+    return out
+
+
 def history_eval(profile: HistoryProfile, t):
     """Evaluate the history velocity v(t) for t in [-a, 0] (scalar or array)."""
     t = np.asarray(t, dtype=float)

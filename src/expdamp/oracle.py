@@ -22,7 +22,15 @@ import numpy as np
 
 from .errors import StepTooLarge
 from .history import _weight_polynomial, history_weight
-from .model import Constant, HistoryProfile, InitialState, OscillatorParams, Polynomial, Sine
+from .model import (
+    Constant,
+    HistoryProfile,
+    InitialState,
+    OscillatorParams,
+    Polynomial,
+    Sine,
+    _hold,
+)
 from .response import Trajectory, _forcing_on_grid, _scan, time_grid
 
 __all__ = ["integrate", "convolution_check"]
@@ -38,23 +46,14 @@ def _resolution_limit(params: OscillatorParams) -> float:
     return 0.05 * min(1.0 / mu, 2.0 * math.pi / np.abs(roots).max())
 
 
-def _extend(nodes: np.ndarray) -> np.ndarray:
-    # One node past each end on the polynomial through the d + 1 = min(4, n)
-    # end samples: the weights (-1)^j C(d+1, j+1) zero its (d+1)-th difference.
-    d = min(3, len(nodes) - 1)
-    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    return np.r_[np.dot(ends, nodes[: d + 1]), nodes, np.dot(ends, nodes[: -d - 2 : -1])]
-
-
 def _forcing_arrays(forcing, t: np.ndarray, dt: float):
     # Node values and the step-midpoint values RK4 needs.  Samples, and no
-    # forcing as zero samples, take midpoints off the cubic through the four
-    # nearest samples; a linear average would cost RK4 its O(dt^4).
+    # forcing as zero samples, take midpoints off their cubic hold; a linear
+    # average would cost RK4 its O(dt^4).
     nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
     if callable(forcing) or isinstance(forcing, (Constant, Sine)):
         return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-    f = _extend(nodes)
-    return nodes, (9.0 * (f[1:-2] + f[2:-1]) - f[:-3] - f[3:]) / 16.0
+    return nodes, _hold(nodes, [[1.0, 0.5, 0.25, 0.125]], np.empty((1, len(t) - 1)))[0]
 
 
 def integrate(
@@ -114,17 +113,16 @@ def integrate(
 
 
 def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
-    """integral_0^{t_n} mu*exp(-mu*(t_n-tau))*values(tau) dtau for all n, each
-    step the W (rate mu*dt, u = (tau-t_n)/dt in [-1, 0]) of the cubic through
-    its four nearest samples: history_weight's moments of u^j times V^-1, V
-    the Vandermonde matrix of u = -2..1; the scan adds the decay e^(-mu*dt).
-    The moments come from history's polynomial rule at the raw rate, which
-    gives exactly 0 where mu*dt underflows and a kernel would reject it."""
-    moments = [_weight_polynomial(Polynomial(e[: j + 1]), mu * dt, 1.0)
-               for j, e in enumerate(np.eye(4))]
-    taps = moments @ np.linalg.inv(np.arange(-2.0, 2.0)[:, None] ** np.arange(4))
+    """integral_0^{t_n} mu*exp(-mu*(t_n-s))*values(s) ds for all n, each step
+    the W (rate mu*dt, u = (s-t_n)/dt in [-1, 0]) of the cubic hold of values:
+    the hold's tau is u + 1, so model._hold takes the W of (u + 1)^j as its
+    moments; the scan adds the decay e^(-mu*dt).  The moments come from
+    history's polynomial rule at the raw rate, which gives exactly 0 where
+    mu*dt underflows and a kernel would reject it."""
+    binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
+    moments = [_weight_polynomial(Polynomial(b), mu * dt, 1.0) for b in binomials]
     acc = np.zeros((1, len(values)))
-    acc[0, 1:] = np.convolve(_extend(values), taps[::-1], "valid")
+    _hold(values, [moments], acc[:, 1:])
     return _scan(np.array([[math.exp(-mu * dt)]]), acc)[0]
 
 

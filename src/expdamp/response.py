@@ -36,6 +36,7 @@ from .model import (
     InitialState,
     OscillatorParams,
     Sine,
+    _hold,
     _shape_eval,
 )
 
@@ -318,25 +319,22 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
+def _forced_convolution(params, f: np.ndarray, dt: float, z0):
     """Cubic-hold response (x, v, y) to the forcing samples f from state z0.
 
     z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
     the whole history, so z0 = (x0, v0, W) is the full initial state; from
     rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
     kept in long double (in float64 its rounding grows like n*eps), step i
-    adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic
-    through f_{i-2..i+1}: z_i = P z_{i-1} + g_i, a _scan.  One node past
-    each end of f, on the polynomial through its d + 1 = min(4, n) nearest
-    samples, gives every step, the end steps of any grid included, its four
-    nodes.  So the result is exact for cubic f and O(dt^4) for smooth f.
+    adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic hold
+    of f on that step (model._hold): z_i = P z_{i-1} + g_i, a _scan.  So the
+    result is exact for cubic f and O(dt^4) for smooth f.
 
     With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
     where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
     dt/m times column 3 + j of exp([[A dt, e1 e0'], [0, N]]), N the 4 x 4
     shift (Van Loan 1978): linear in the forcing column, which enters at
-    unit scale so that dt/m cannot inflate the block's norm.  The c_j are
-    V^-1 times the node values, V the Vandermonde matrix of tau = -1..2.
+    unit scale so that dt/m cannot inflate the block's norm.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
@@ -347,17 +345,9 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0=(0.0, 0.0, 0.0)):
     e = _expm(block)
     p = e[:3, :3]
     gamma = (e[:3, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
-    taps = gamma @ np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
-    # The weights (-1)^j C(d+1, j+1) zero the (d+1)-th difference, so each
-    # extra node lies on the polynomial through the d + 1 samples nearest it.
-    d = min(3, len(f) - 1)
-    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    f = np.r_[np.dot(ends, f[: d + 1]), f, np.dot(ends, f[: -d - 2 : -1])]
-    g = np.empty((3, len(f) - 2))
+    g = np.empty((3, len(f)))
     g[:, 0] = z0
-    for row in range(3):
-        # one 4-tap correlation per row
-        g[row, 1:] = np.convolve(f, taps[row, ::-1], "valid")
+    _hold(f, gamma, g[:, 1:])
     return _scan(p, g)
 
 

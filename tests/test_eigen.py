@@ -8,6 +8,7 @@ import pytest
 
 import expdamp.eigen
 from expdamp import (
+    CharacteristicPolynomial,
     DegenerateSpectrum,
     EigenSolution,
     InitialState,
@@ -38,6 +39,11 @@ def test_characteristic_poly_coefficients():
     poly = characteristic_poly(REFERENCE)
     # m, m*mu, k + c*mu, k*mu
     assert poly.coefficients == (1.0, 2.0, 5.0, 8.0)
+
+
+def test_characteristic_poly_requires_positive_leading_coefficient():
+    with pytest.raises(ValueError, match="leading coefficient"):
+        CharacteristicPolynomial((0.0, 1.0, 1.0, 1.0))
 
 
 def test_poly_value_at_minus_mu():
@@ -173,9 +179,11 @@ def test_near_triple_newton_miss_is_degenerate():
 
 # Companion eigenvalues [-mu, -0.5, 0] at mu >= 1e118 put the pair below
 # float64's resolution at scale mu; at k = 1e260 and 1e300 the Newton step
-# overflows to NaN, which a gate written with > or < lets through.
+# overflows to NaN, which a gate written with > or < lets through.  At
+# c = 0, k*mu overflows and the exact root 1e100j fails the residual tripwire.
 EXTREME_SCALE = [OscillatorParams(1.0, 0.5, 4.0, mu) for mu in (1e118, 1e158, 1e208, 1e258, 1e298)]
 EXTREME_SCALE += [OscillatorParams(1.0, 1.0, k, 1.0) for k in (1e260, 1e300)]
+EXTREME_SCALE += [OscillatorParams(1.0, 0.0, 1e200, 1e200)]
 
 
 @pytest.mark.parametrize("params", EXTREME_SCALE, ids=lambda p: f"mu={p.mu:g},k={p.k:g}")
@@ -199,6 +207,13 @@ OVERFLOWING_CUBIC = [
 def test_overflowing_cubic_is_degenerate(params):
     with pytest.raises(DegenerateSpectrum, match="overflows float64"):
         solve_eigen(params)
+
+
+def test_separation_gate_names_companion_eigenvalues():
+    # all coefficients are positive, so no root is a positive real: the
+    # message names the two companion eigenvalues it cannot resolve
+    with pytest.raises(DegenerateSpectrum, match=r"eigenvalues -0\.5\+0j and 0\+0j"):
+        solve_eigen(OscillatorParams(1.0, 0.5, 4.0, 1e148))
 
 
 def test_extreme_stiffness_still_solves():

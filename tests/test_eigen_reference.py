@@ -1,7 +1,8 @@
 """solve_eigen against the np.roots-based solve it replaced.
 
 The reference below is that earlier solve, kept verbatim apart from
-names and comments: np.roots for the companion eigenvalues, and p, p' and their
+names, comments and the separation gate's message, which names the
+companion eigenvalues: np.roots for the companion eigenvalues, and p, p' and their
 error scales evaluated through CharacteristicPolynomial.  The current
 solve builds the same companion matrix and does the same arithmetic in
 the same order, so every root, residue, flag, exception type and
@@ -12,6 +13,7 @@ its eigvals raises LinAlgError (a monic coefficient overflows float64),
 the solve raises DegenerateSpectrum.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -96,8 +98,9 @@ def _ref_solve_eigen(params):
         for j in range(i + 1, 3):
             if abs(roots[i] - roots[j]) < DEGENERACY_RTOL * scale:
                 raise DegenerateSpectrum(
-                    f"repeated characteristic root near {roots[i]:.6g} "
-                    f"(separation below {DEGENERACY_RTOL:g} * spectral scale)"
+                    f"repeated characteristic root: companion eigenvalues "
+                    f"{complex(raw[i]):.6g} and {complex(raw[j]):.6g} polish to within "
+                    f"{DEGENERACY_RTOL:g} * spectral scale"
                 )
     for r in roots:
         if abs(poly.deriv(r)) < CONDITIONING_FLOOR * _ref_deriv_scale(poly, r):
@@ -278,3 +281,23 @@ def test_solve_eigen_bit_identical_on_edge_inputs(m, c, k, mu):
         assert got[0] is DegenerateSpectrum and "overflows float64" in got[1], params
         expected = got
     assert _bits(got) == _bits(expected)
+
+
+def test_undamped_extreme_scale_is_degenerate_or_bit_identical():
+    # c = 0 over 600 decades of (m, k, mu).  Where k*mu, sqrt(k/m) or p at
+    # the exact roots leaves float64's range (with finite coefficients too),
+    # the solve raises DegenerateSpectrum, never a bare ArithmeticError.
+    # The reference scales its tripwire its own way, so there it raises
+    # other errors or returns NaN; every draw that the solve returns keeps
+    # the reference's bits.
+    draws = 10 ** np.random.default_rng(0).uniform(-300, 300, (3000, 3))
+    kinds = collections.Counter()
+    for m, k, mu in draws:
+        params = OscillatorParams(m=m, c=0.0, k=k, mu=mu)
+        expected, got = _outcome(_ref_solve_eigen, params), _outcome(solve_eigen, params)
+        if got[0] == "ok" or expected[0] is DegenerateSpectrum:
+            assert _bits(got) == _bits(expected), params
+        else:
+            assert got[0] is DegenerateSpectrum, params
+        kinds[got[0]] += 1
+    assert kinds == {"ok": 1916, DegenerateSpectrum: 1084}

@@ -18,6 +18,7 @@ from expdamp import (
     history_sup_norm,
     kernel_eval,
 )
+from expdamp.model import _hold
 
 
 def test_params_accept_valid():
@@ -157,6 +158,20 @@ def test_samples_spacing_must_match_duration():
         HistoryProfile(a=1.0, shape=Samples(values=(0.0, 1.0, 0.0), spacing=0.4))
 
 
+@pytest.mark.parametrize(
+    "make, error, named",
+    [
+        (lambda: Polynomial(()), ValueError, "at least one coefficient"),
+        (lambda: Samples((0.0, 1.0), spacing=0.0), ValueError, "spacing must be > 0"),
+        (lambda: HistoryProfile(1.0, "ramp"), TypeError, "unsupported history shape"),
+    ],
+    ids=["empty-polynomial", "zero-spacing", "unknown-shape"],
+)
+def test_invalid_shapes_rejected(make, error, named):
+    with pytest.raises(error, match=named):
+        make()
+
+
 def test_history_profile_grid():
     prof = HistoryProfile(a=1.0, shape=Samples(values=(0.0, 0.5, 1.0, 0.5, 0.0)))
     g = prof.grid()
@@ -223,3 +238,15 @@ def test_sup_norm_polynomial_matches_dense_grid():
 def test_sup_norm_samples():
     prof = HistoryProfile(a=1.0, shape=Samples(values=(0.25, -3.0, 1.0)))
     assert history_sup_norm(prof) == 3.0
+
+
+@pytest.mark.parametrize("size, degree", [(2, 1), (3, 2), (4, 3), (5, 3), (64, 3)])
+def test_hold_reads_low_degree_samples_exactly(size, degree):
+    # Moments [1, x, x^2, x^3] evaluate each step's cubic at tau = x: the
+    # nodes at x = 0 and 1, and at x = 1/2 the polynomial itself, end steps
+    # included, since the end nodes lie on the polynomial through the samples.
+    poly = np.polynomial.Polynomial(np.random.default_rng(size).normal(size=degree + 1))
+    x = np.array([0.0, 0.5, 1.0])
+    out = _hold(poly(np.arange(size)), x[:, None] ** np.arange(4), np.empty((3, size - 1)))
+    want = poly(np.arange(size - 1) + x[:, None])
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))

@@ -379,7 +379,7 @@ def test_forced_convolution_matches_recursion(params, n):
     t = np.arange(n) * dt
     f = np.cos(1.3 * t) + np.random.default_rng(n).uniform(-0.5, 0.5, n)
     ref = _cubic_hold_recursion(eig, f, dt)
-    for got, want in zip(_forced_convolution(params, f, dt)[:2], ref):
+    for got, want in zip(_forced_convolution(params, f, dt, (0.0, 0.0, 0.0))[:2], ref):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
