@@ -35,7 +35,7 @@ from .eigen import (
     impulse_response_derivative,
     solve_eigen,
 )
-from .history import HistoryWeight, history_weight, psi
+from .history import HistoryWeight, history_weight
 from .response import (
     ResponseTerms,
     Trajectory,
@@ -82,7 +82,6 @@ __all__ = [
     "initialization_response",
     "integrate",
     "kernel_eval",
-    "psi",
     "response_terms",
     "solve_eigen",
     "split_history_term",

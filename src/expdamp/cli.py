@@ -27,6 +27,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -145,8 +146,7 @@ def _file_path(value, path: str) -> str:
 
 
 # Readers by field annotation (a string: the modules postpone annotations).
-_READERS = {"float": _number, "float | None": _number, "str": _file_path,
-            "tuple[float, ...]": _number_list}
+_READERS = {"float": _number, "str": _file_path, "tuple[float, ...]": _number_list}
 
 
 def _field(sec: dict, key: str, path: str, read=_number, default=MISSING):
@@ -316,7 +316,9 @@ def _read_csv_columns(path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[: len(names)]] != list(names):
             raise ConfigError(f"{path}: expected CSV header starting {','.join(names)}")
-        cols: list[list[float]] = [[] for _ in names]
+        # array("d") keeps 8 bytes a value, where a list of floats takes
+        # about 32, and np.frombuffer reads it without a copy.
+        cols = [array("d") for _ in names]
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -334,7 +336,7 @@ def _read_csv_columns(path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
                 cols[i].append(value)
     if not cols[0]:
         raise ConfigError(f"{path}: no data rows")
-    return {name: np.asarray(col, dtype=float) for name, col in zip(names, cols)}
+    return {name: np.frombuffer(col) for name, col in zip(names, cols)}
 
 
 def _json_num(value):
@@ -504,10 +506,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_CONFIG
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.handlers[args.command](args)
     except ConfigError as exc:

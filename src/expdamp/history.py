@@ -24,7 +24,7 @@ from .model import (
     Sine,
 )
 
-__all__ = ["HistoryWeight", "history_weight", "psi"]
+__all__ = ["HistoryWeight", "history_weight"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,10 @@ class HistoryWeight:
     mu: float
 
     def psi(self, t):
+        """Initialization force psi(t) = W * exp(-mu*t) for t >= 0."""
         t = np.asarray(t, dtype=float)
+        if not np.all(t >= 0):
+            raise ValueError("psi is defined for t >= 0")
         out = self.value * np.exp(-self.mu * t)
         return out if out.ndim else float(out)
 
@@ -106,10 +109,3 @@ def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) ->
         raise TypeError(f"unsupported history shape: {shape!r}")
     return HistoryWeight(float(value), mu)
 
-
-def psi(kernel: ExponentialKernel, profile: HistoryProfile, t):
-    """Initialization force psi(t) = W * exp(-mu*t) for t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("psi is defined for t >= 0")
-    return history_weight(kernel, profile).psi(t)

@@ -133,14 +133,11 @@ class Polynomial:
 class Samples:
     """Velocity values on a uniform grid spanning [-a, 0].
 
-    values[0] sits at t = -a and values[-1] at t = 0; evaluation
-    interpolates linearly between grid points.  The optional spacing,
-    when given, must satisfy spacing * (len-1) == a at construction of
-    the enclosing profile.
+    values[0] sits at t = -a and values[-1] at t = 0, so the spacing is
+    a / (len - 1); evaluation interpolates linearly between grid points.
     """
 
     values: tuple[float, ...]
-    spacing: float | None = None
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -149,11 +146,6 @@ class Samples:
         for v in values:
             _check_finite("sample", v)
         object.__setattr__(self, "values", values)
-        if self.spacing is not None:
-            spacing = _check_finite("spacing", self.spacing)
-            if spacing <= 0:
-                raise ValueError(f"sample spacing must be > 0, got {spacing}")
-            object.__setattr__(self, "spacing", spacing)
 
 
 HistoryShape = Constant | Sine | Polynomial | Samples
@@ -176,13 +168,6 @@ class HistoryProfile:
             raise ValueError(f"history duration a must be > 0, got {self.a}")
         if not isinstance(self.shape, (Constant, Sine, Polynomial, Samples)):
             raise TypeError(f"unsupported history shape: {self.shape!r}")
-        if isinstance(self.shape, Samples) and self.shape.spacing is not None:
-            implied = self.shape.spacing * (len(self.shape.values) - 1)
-            if abs(implied - self.a) > 1e-12 * self.a:
-                raise ValueError(
-                    f"sample spacing {self.shape.spacing} * (count-1) = {implied} "
-                    f"does not match history duration a = {self.a}"
-                )
 
     def grid(self) -> np.ndarray:
         """Uniform sample grid on [-a, 0] (Samples shapes only)."""
@@ -216,8 +201,9 @@ def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
 
 # The cubic hold: step i of a sampled signal, from t_i to t_i + dt, reads the
 # cubic through its samples at tau = (t - t_i)/dt = -1..2; the inverse of the
-# Vandermonde matrix on those nodes maps the four samples to its coefficients.
-_HOLD_INVERSE = np.linalg.inv(np.arange(-1.0, 3.0)[:, None] ** np.arange(4))
+# Vandermonde matrix on those nodes, in exact sixths, maps the four samples
+# (columns) to its tau^0..tau^3 coefficients (rows).
+_HOLD_INVERSE = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6
 
 
 def _hold(f: np.ndarray, moments, out: np.ndarray) -> np.ndarray:

@@ -126,13 +126,10 @@ def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.nd
     return _scan(np.array([[math.exp(-mu * dt)]]), acc)[0]
 
 
-def convolution_check(
-    params: OscillatorParams,
-    history: HistoryProfile | None,
-    trajectory: Trajectory,
-) -> float:
+def convolution_check(trajectory: Trajectory) -> float:
     """Max deviation between the internal damping variable y and the
-    defining convolution recomputed from the stored velocity samples.
+    defining convolution recomputed from the stored velocity samples,
+    with W and mu taken from trajectory.weight.
 
     xdot is read as the cubic through the four samples nearest each step,
     so the check is exact for cubic xdot and O(dt^4) otherwise.
@@ -142,6 +139,6 @@ def convolution_check(
             "trajectory lacks the internal damping variable; forced_response "
             "leaves it out only for forcing=None, and oracle.integrate never does"
         )
-    y_conv = history_weight(params.kernel, history).psi(trajectory.t)
-    y_conv += _kernel_cubic_convolution(trajectory.xdot, trajectory.dt, params.mu)
+    mu = trajectory.weight.mu
+    y_conv = trajectory.psi + _kernel_cubic_convolution(trajectory.xdot, trajectory.dt, mu)
     return float(np.max(np.abs(trajectory.y - y_conv)))

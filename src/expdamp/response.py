@@ -335,16 +335,24 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0):
     dt/m times column 3 + j of exp([[A dt, e1 e0'], [0, N]]), N the 4 x 4
     shift (Van Loan 1978): linear in the forcing column, which enters at
     unit scale so that dt/m cannot inflate the block's norm.
+
+    The block holds S A S^-1 dt, S = diag(2^p, 1, 2^q), whose entries are
+    near omega dt, sqrt(c mu/m) dt and mu dt: then _expm's scaling, and so
+    the result, do not depend on the unit of time.  S leaves b alone, and
+    undoing it on P and Gamma is exact, since it holds powers of two.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
+    ek, em, ec, emu = (math.frexp(v)[1] for v in (k, m, c, mu))
+    exps = [(ek - em) // 2, 0, (ec - em - emu) // 2 if c else 0]
+    s = np.ldexp(np.ones(3, dtype=np.longdouble), exps)
     a = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=np.longdouble)
     block = np.zeros((7, 7), dtype=np.longdouble)
-    block[:3, :3] = a * dt
+    block[:3, :3] = a * s[:, None] / s * dt
     block[1, 3] = 1
     block[3:, 3:] = np.eye(4, k=1)
-    e = _expm(block)
-    p = e[:3, :3]
-    gamma = (e[:3, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
+    e = _expm(block)[:3] / s[:, None]
+    p = e[:, :3] * s
+    gamma = (e[:, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
     g = np.empty((3, len(f)))
     g[:, 0] = z0
     _hold(f, gamma, g[:, 1:])

@@ -37,7 +37,6 @@ from expdamp import (
     initialization_response,
     integrate,
     kernel_eval,
-    psi,
     response_terms,
     solve_eigen,
     split_history_term,
@@ -386,7 +385,7 @@ TIME_ENTRIES = {
     "split_history_term": lambda t: split_history_term(PAIR, solve_eigen(PAIR), HISTORY, t),
     "decay_bounds": lambda t: decay_bounds(PAIR, solve_eigen(PAIR), 1.0, 1.0, t),
     "kernel_eval": lambda t: kernel_eval(PAIR.kernel, t),
-    "psi": lambda t: psi(PAIR.kernel, HISTORY, t),
+    "psi": lambda t: history_weight(PAIR.kernel, HISTORY).psi(t),
     # history time runs over [-a, 0]
     "history_eval": lambda t: history_eval(HISTORY, -t),
 }
@@ -446,18 +445,19 @@ def test_integrate_invariant_under_time_units(params, dt, t_end, forcing):
     # Time in units lam = 2^j times larger: (m, lam c, lam^2 k, lam mu),
     # dt/lam, t_end/lam, lam v0, history lam*v on [-a/lam, 0], forcing
     # lam^2 f(lam t).  Every map is exact in binary, so x and xdot/lam must
-    # agree at matching indices.
-    def run(lam):
+    # agree at matching indices, for the RK4 oracle and the forced scan.
+    def run(solve, lam):
         scaled = OscillatorParams(params.m, lam * params.c, lam**2 * params.k, lam * params.mu)
         drive = Sine(lam**2 * forcing.amplitude, lam * forcing.omega, forcing.phase)
         history = HistoryProfile(a=1.0 / lam, shape=Constant(lam))
-        traj = integrate(
+        traj = solve(
             scaled, InitialState(1.0, lam * 0.3), history, drive, t_end / lam, dt / lam
         )
         return traj.x, traj.xdot / lam
 
-    x, xdot = run(1.0)
-    for j in range(-20, 21):
-        x_j, xdot_j = run(2.0**j)
-        assert np.max(np.abs(x_j - x)) <= 1e-14 * np.max(np.abs(x)), j
-        assert np.max(np.abs(xdot_j - xdot)) <= 1e-14 * np.max(np.abs(xdot)), j
+    for solve in (integrate, forced_response):
+        x, xdot = run(solve, 1.0)
+        for j in range(-20, 21):
+            x_j, xdot_j = run(solve, 2.0**j)
+            assert np.max(np.abs(x_j - x)) <= 1e-14 * np.max(np.abs(x)), (solve, j)
+            assert np.max(np.abs(xdot_j - xdot)) <= 1e-14 * np.max(np.abs(xdot)), (solve, j)

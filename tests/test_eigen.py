@@ -241,6 +241,15 @@ def test_residual_tripwire_still_fires_on_a_wrong_root(monkeypatch):
         solve_eigen(NEAR_TRIPLE)
 
 
+def test_validate_rejects_residues_missing_first_moment():
+    # Doubled residues still sum to zero, but their first moment is 2/m.
+    eig = solve_eigen(REFERENCE)
+    doubled = EigenSolution(*eig.roots, *(2 * r for r in eig.residues), eig.oscillatory)
+    c3, c2, c1, c0 = characteristic_poly(REFERENCE).coefficients
+    with pytest.raises(DegenerateSpectrum, match="first residue moment misses 1/m"):
+        _validate(REFERENCE.m, c3, c2, c1, c0, doubled)
+
+
 def test_real_part_rejects_uncancelled_imaginary_part():
     assert _real_part(np.array([1.0 + 1e-13j, -2.0 + 0j])).tolist() == [1.0, -2.0]
     with pytest.raises(DegenerateSpectrum, match="imaginary"):

@@ -18,7 +18,6 @@ from expdamp import (
     history_sup_norm,
     history_weight,
     kernel_eval,
-    psi,
 )
 
 KERNEL = ExponentialKernel(mu=2.0)
@@ -170,7 +169,7 @@ def test_weight_bounded_by_sup_norm():
 def test_psi_at_zero_equals_weight():
     prof = HistoryProfile(a=1.0, shape=Sine(amplitude=2.0, omega=1.0))
     w = history_weight(KERNEL, prof)
-    assert psi(KERNEL, prof, 0.0) == w.value
+    assert history_weight(KERNEL, prof).psi(0.0) == w.value
 
 
 def test_psi_matches_direct_convolution_quadrature():
@@ -180,7 +179,7 @@ def test_psi_matches_direct_convolution_quadrature():
     v = history_eval(prof, tau)
     for t in (0.0, 0.4, 1.0, 2.7):
         direct = np.trapezoid(kernel_eval(KERNEL, t - tau) * v, tau)
-        assert psi(KERNEL, prof, t) == pytest.approx(direct, abs=1e-8)
+        assert history_weight(KERNEL, prof).psi(t) == pytest.approx(direct, abs=1e-8)
 
 
 def test_psi_semigroup_factorization():
@@ -212,11 +211,11 @@ def test_psi_envelope_bound():
     prof = HistoryProfile(a=1.0, shape=Sine(amplitude=3.0, omega=4.0))
     cap0 = history_sup_norm(prof) * (1.0 - math.exp(-KERNEL.mu * prof.a))
     t = np.linspace(0.0, 10.0, 101)
-    vals = np.abs(psi(KERNEL, prof, t))
+    vals = np.abs(history_weight(KERNEL, prof).psi(t))
     assert np.all(vals <= cap0 * np.exp(-KERNEL.mu * t) * (1.0 + 1e-12))
 
 
 def test_psi_rejects_negative_time():
     prof = HistoryProfile(a=1.0, shape=Constant(1.0))
     with pytest.raises(ValueError):
-        psi(KERNEL, prof, -0.1)
+        history_weight(KERNEL, prof).psi(-0.1)

@@ -151,21 +151,13 @@ def test_samples_require_two_points():
         Samples(values=(1.0,))
 
 
-def test_samples_spacing_must_match_duration():
-    # 3 values span 2 intervals; spacing 0.5 covers a = 1 exactly
-    HistoryProfile(a=1.0, shape=Samples(values=(0.0, 1.0, 0.0), spacing=0.5))
-    with pytest.raises(ValueError):
-        HistoryProfile(a=1.0, shape=Samples(values=(0.0, 1.0, 0.0), spacing=0.4))
-
-
 @pytest.mark.parametrize(
     "make, error, named",
     [
         (lambda: Polynomial(()), ValueError, "at least one coefficient"),
-        (lambda: Samples((0.0, 1.0), spacing=0.0), ValueError, "spacing must be > 0"),
         (lambda: HistoryProfile(1.0, "ramp"), TypeError, "unsupported history shape"),
     ],
-    ids=["empty-polynomial", "zero-spacing", "unknown-shape"],
+    ids=["empty-polynomial", "unknown-shape"],
 )
 def test_invalid_shapes_rejected(make, error, named):
     with pytest.raises(error, match=named):

@@ -131,12 +131,12 @@ def test_internal_variable_starts_at_weight():
 def test_convolution_check_no_history():
     p = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
     traj = integrate(p, InitialState(1.0, 0.0), None, None, 5.0, 1e-3)
-    assert convolution_check(p, None, traj) < 1e-6
+    assert convolution_check(traj) < 1e-6
 
 
 def test_convolution_check_constant_history():
     traj = integrate(REFERENCE, REF_STATE, REF_HISTORY, None, 5.0, 1e-3)
-    assert convolution_check(REFERENCE, REF_HISTORY, traj) < 1e-5
+    assert convolution_check(traj) < 1e-5
 
 
 def test_convolution_check_second_order():
@@ -144,7 +144,7 @@ def test_convolution_check_second_order():
     errs = []
     for dt in (2e-3, 1e-3):
         traj = integrate(REFERENCE, REF_STATE, REF_HISTORY, None, 5.0, dt)
-        errs.append(convolution_check(REFERENCE, REF_HISTORY, traj))
+        errs.append(convolution_check(traj))
     assert 14.0 <= errs[0] / errs[1] <= 18.0
 
 
@@ -154,7 +154,7 @@ def test_convolution_check_forced_scan():
     errs = []
     for dt in (2e-3, 1e-3):
         traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, Sine(1.0, 2.0), 5.0, dt)
-        errs.append(convolution_check(REFERENCE, REF_HISTORY, traj))
+        errs.append(convolution_check(traj))
     assert errs[1] < 1e-11
     assert 14.0 <= errs[0] / errs[1] <= 18.0
 
@@ -163,16 +163,16 @@ def test_convolution_check_flags_small_defect():
     # At dt = 1e-3 over 20 s the check sits near rounding, so a 1e-8 shift
     # of y stands out; an O(dt^2) rule reads about 1.5e-6 either way.
     traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, Sine(1.0, 2.0, 0.0), 20.0, 1e-3)
-    assert convolution_check(REFERENCE, REF_HISTORY, traj) <= 1e-11
+    assert convolution_check(traj) <= 1e-11
     shifted = Trajectory(traj.dt, traj.x, traj.xdot, traj.weight, traj.y + 1e-8)
-    assert convolution_check(REFERENCE, REF_HISTORY, shifted) >= 0.9e-8
+    assert convolution_check(shifted) >= 0.9e-8
 
 
 def test_convolution_check_requires_internal_variable():
     traj = forced_response(REFERENCE, REF_STATE, REF_HISTORY, None, 1.0, 1e-3)
     assert traj.y is None
     with pytest.raises(ValueError):
-        convolution_check(REFERENCE, REF_HISTORY, traj)
+        convolution_check(traj)
 
 
 @pytest.mark.parametrize("mu", [5e-324, 1e-310])
@@ -182,7 +182,7 @@ def test_convolution_check_at_subnormal_rate(mu):
     # y holds W to within subnormal rounding.
     params = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=mu)
     traj = forced_response(params, REF_STATE, REF_HISTORY, Sine(1.0, 2.0, 0.0), 20.0, 0.1)
-    assert convolution_check(params, REF_HISTORY, traj) <= 1e-300
+    assert convolution_check(traj) <= 1e-300
     assert not np.any(_kernel_cubic_convolution(traj.xdot, traj.dt, 5e-324))
 
 
