@@ -123,8 +123,9 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
     free of the kernel pole at s = -mu.
 
     Raises DegenerateSpectrum when two roots (nearly) coincide, for c > 0
-    when a coefficient of the monic cubic overflows float64, and for c = 0
-    when the cubic cannot be evaluated at its exact roots in float64.
+    when a coefficient of the cubic or of its monic form overflows float64
+    or underflows it (to zero or a subnormal), and for c = 0 when the
+    cubic cannot be evaluated at its exact roots in float64.
     """
     # p and p' are written out on the coefficients, all >= 0 and so their
     # own magnitudes in the error scales: this is every spectrum's hot path.
@@ -150,23 +151,18 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
             ) from None
         return eig
 
-    # The companion matrix np.roots builds for the monic cubic, zero
-    # trailing coefficients split off as roots at 0 the way it does.
+    # Every coefficient is positive: a zero, subnormal or infinite one, in p
+    # or its monic form, is float64's range failing, not a root at 0 or inf.
     monic = [c2 / c3, c1 / c3, c0 / c3]
-    if not all(map(math.isfinite, monic)):
-        # eigvals would reject the companion matrix with a bare LinAlgError.
+    if not all(2.0**-1022 <= a < math.inf for a in (c3, c2, c1, c0, *monic)):  # normal
         raise DegenerateSpectrum(
-            "the monic characteristic cubic overflows float64: coefficients "
+            f"the characteristic cubic {'overflows' if math.inf in monic else 'underflows'} "
+            f"float64: coefficients {c3:.6g}, {c2:.6g}, {c1:.6g}, {c0:.6g}; monic "
             + ", ".join(f"{a:.6g}" for a in monic)
         )
-    n = 3
-    while n and monic[n - 1] == 0:
-        n -= 1
-    raw = [0j] * (3 - n)
-    if n:
-        companion = np.eye(n, k=-1)
-        companion[0] = [-a for a in monic[:n]]
-        raw = np.linalg.eigvals(companion).tolist() + raw
+    companion = np.eye(3, k=-1)
+    companion[0] = [-a for a in monic]
+    raw = np.linalg.eigvals(companion).tolist()
     roots = []
     for s in raw:
         s = complex(s)

@@ -56,20 +56,20 @@ def _weight_sine(shape: Sine, mu: float, a: float) -> float:
     return shape.amplitude * mu * (upper - lower) / denom
 
 
-def _weight_polynomial(shape: Polynomial, mu: float, a: float) -> float:
+def _weight_polynomial(coeffs, mu: float, a: float) -> float:
     # I_n = integral tau^n exp(mu*tau) on [-a, 0] = (-1)^n J_n, where J_n is
     # the integral of s^n exp(-mu*s) on [0, a].
-    top = len(shape.coeffs) - 1
+    top = len(coeffs) - 1
     x = mu * a
     decay = math.exp(-x)
     if x > top:
         # The parts recurrence upward multiplies rounding by about
         # n!/(mu*a)^n, which stays near 1 while mu*a > n.
         i_n = -math.expm1(-x) / mu
-        total = shape.coeffs[0] * i_n
+        total = coeffs[0] * i_n
         for n in range(1, top + 1):
             i_n = -((-a) ** n * decay + n * i_n) / mu
-            total += shape.coeffs[n] * i_n
+            total += coeffs[n] * i_n
         return mu * total
     # Below that, J_top = top! a^(top+1) e^-x sum_j x^j/(top+1+j)! and the
     # recurrence downward, J_{n-1} = (mu J_n + a^n e^-x)/n, add positive
@@ -83,7 +83,7 @@ def _weight_polynomial(shape: Polynomial, mu: float, a: float) -> float:
     j_n = math.factorial(top) * a ** (top + 1) * decay * series
     total = 0.0
     for n in range(top, -1, -1):
-        total += shape.coeffs[n] * (-1) ** n * j_n
+        total += coeffs[n] * (-1) ** n * j_n
         if n:
             j_n = (mu * j_n + a**n * decay) / n
     return mu * total
@@ -101,7 +101,7 @@ def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) ->
     elif isinstance(shape, Sine):
         value = _weight_sine(shape, mu, a)
     elif isinstance(shape, Polynomial):
-        value = _weight_polynomial(shape, mu, a)
+        value = _weight_polynomial(shape.coeffs, mu, a)
     elif isinstance(shape, Samples):
         grid = profile.grid()
         value = mu * float(np.trapezoid(np.exp(mu * grid) * shape.values, grid))

@@ -27,7 +27,6 @@ from .model import (
     HistoryProfile,
     InitialState,
     OscillatorParams,
-    Polynomial,
     Sine,
     _hold,
 )
@@ -74,7 +73,7 @@ def integrate(
     the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
     the identity (giving P) and on unit forcing at the start, middle and
     end of a step (giving q0, qm, q1); the chunked doubling scan that the
-    forced closed form also uses solves the recurrence.
+    forced scan also uses solves the recurrence.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).
@@ -120,7 +119,7 @@ def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.nd
     history's polynomial rule at the raw rate, which gives exactly 0 where
     mu*dt underflows and a kernel would reject it."""
     binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
-    moments = [_weight_polynomial(Polynomial(b), mu * dt, 1.0) for b in binomials]
+    moments = [_weight_polynomial(b, mu * dt, 1.0) for b in binomials]
     acc = np.zeros((1, len(values)))
     _hold(values, [moments], acc[:, 1:])
     return _scan(np.array([[math.exp(-mu * dt)]]), acc)[0]

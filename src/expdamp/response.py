@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ResonantKernel
+from .errors import DegenerateSpectrum, ResonantKernel, StepTooLarge
 from .eigen import (
     EigenSolution,
     impulse_response,
@@ -307,7 +307,7 @@ def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of one small matrix: scaling, degree-16 Taylor, squaring."""
-    norm = float(np.abs(a).sum(axis=0).max())
+    norm = min(float(np.abs(a).sum(axis=0).max()), 1e300)  # a long double can cast to inf
     s = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.25)))
     scaled = a / 2.0**s
     out = term = np.eye(len(a))
@@ -350,13 +350,17 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0):
     block[:3, :3] = a * s[:, None] / s * dt
     block[1, 3] = 1
     block[3:, 3:] = np.eye(4, k=1)
-    e = _expm(block)[:3] / s[:, None]
-    p = e[:, :3] * s
-    gamma = (e[:, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
-    g = np.empty((3, len(f)))
-    g[:, 0] = z0
-    _hold(f, gamma, g[:, 1:])
-    return _scan(p, g)
+    # An overflow in P, Gamma or the scan leaves a NaN or inf in the last column.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _expm(block)[:3] / s[:, None]
+        gamma = (e[:, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
+        g = np.empty((3, len(f)))
+        g[:, 0] = z0
+        _hold(f, gamma, g[:, 1:])
+        z = _scan(e[:, :3] * s, g)
+    if not np.isfinite(z[:, -1]).all():
+        raise StepTooLarge(f"the step map or the scan leaves float64's range at dt = {dt:g}")
+    return z
 
 
 def forced_response(

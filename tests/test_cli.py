@@ -252,7 +252,8 @@ def test_missing_field_exits_2(tmp_path, capsys):
 def test_degenerate_spectrum_exits_3(tmp_path, capsys):
     # an exact double root, a near-double root whose residues cancel, a
     # near-triple root whose Newton polish leaves the cubic, a pair below
-    # float64's resolution at the scale of mu, and c = 0 with k*mu overflowing
+    # float64's resolution at the scale of mu, c = 0 with k*mu overflowing,
+    # and (the last five) a cubic with a zero or subnormal coefficient
     for params in (
         {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
         {"m": 1.0, "c": 0.5, "k": 4.0, "mu": 1e158},
@@ -261,6 +262,12 @@ def test_degenerate_spectrum_exits_3(tmp_path, capsys):
          "k": 0.315554155795794, "mu": 7.308450407297674},
         {"m": 0.8241652846999418, "c": 8.84242808307725,
          "k": 40.023267861691956, "mu": 36.210206052601315},
+        {"m": 1.0, "c": 1.0, "k": 1e-200, "mu": 1e-200},
+        {"m": 1e-200, "c": 1.0, "k": 1.0, "mu": 1e-200},
+        {"m": 1e200, "c": 1e-200, "k": 1e-200, "mu": 1e-200},
+        {"m": 0.002002681621781289, "c": 6.292939776094619e-269,
+         "k": 1.1120165706966207e-212, "mu": 1.2435969177141544e-209},
+        {"m": 1.0, "c": 0.5, "k": 1e-160, "mu": 1e-160},
     ):
         code = cli.main(["eigen", "--config", _write_config(tmp_path, {"params": params})])
         assert code == 3
@@ -324,6 +331,22 @@ def test_oversized_step_exits_5(tmp_path, capsys):
         ["oracle", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--dt", "0.5"]
     )
     assert code == 5
+    assert "StepTooLarge" in capsys.readouterr().err
+
+
+def test_unresolvable_forced_step_exits_5(tmp_path, capsys):
+    # omega*dt is near 2e20: the forced scan leaves float64's range
+    doc = {
+        **REF_DOC,
+        "params": {
+            "m": 1.0752014100853305e-21, "c": 0.08565314066164373,
+            "k": 4.818942361012487e23, "mu": 2.3068237641684912e-05,
+        },
+        "forcing": {"type": "constant", "value": 0.0},
+        "grid": {"t_end": 1.0, "dt": 0.01},
+    }
+    out = tmp_path / "r.csv"
+    assert cli.main(["respond", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 5
     assert "StepTooLarge" in capsys.readouterr().err
 
 

@@ -9,9 +9,11 @@ raise DegenerateSpectrum.
 """
 
 import ast
+import collections
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,3 +463,36 @@ def test_integrate_invariant_under_time_units(params, dt, t_end, forcing):
             x_j, xdot_j = run(solve, 2.0**j)
             assert np.max(np.abs(x_j - x)) <= 1e-14 * np.max(np.abs(x)), (solve, j)
             assert np.max(np.abs(xdot_j - xdot)) <= 1e-14 * np.max(np.abs(xdot)), (solve, j)
+
+
+def test_seeded_extreme_scales_give_a_result_or_a_typed_error():
+    # Outcome half of the contract over 60 decades of every parameter, with
+    # c = 0 in a tenth of the draws: solve_eigen returns or raises
+    # DegenerateSpectrum, and the zero-drive forced scan returns finite
+    # columns or raises StepTooLarge.  No other exception, no RuntimeWarning.
+    rng = np.random.default_rng(1)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        m, c, k, mu = 10 ** rng.uniform(-30, 30, 4)
+        if rng.random() < 0.1:
+            c = 0.0
+        params = OscillatorParams(m, c, k, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                solve_eigen(params)
+                kinds["eigen ok"] += 1
+            except DegenerateSpectrum:
+                kinds[DegenerateSpectrum] += 1
+            try:
+                traj = forced_response(
+                    params, InitialState(1.0, 0.3), HistoryProfile(1.0, Constant(1.0)),
+                    Constant(0.0), 1.0, 0.01,
+                )
+            except StepTooLarge:
+                kinds[StepTooLarge] += 1
+                continue
+        assert all(np.isfinite(col).all() for col in (traj.x, traj.xdot, traj.y)), params
+        kinds["scan ok"] += 1
+    # each outcome is reached
+    assert len(kinds) == 4, kinds

@@ -209,6 +209,31 @@ def test_overflowing_cubic_is_degenerate(params):
         solve_eigen(params)
 
 
+# A coefficient of the cubic or of its monic form that is zero or
+# subnormal: every coefficient is positive, so that is float64's range
+# failing, not a root at 0.  In the first, np.roots would return s3 = 0
+# where the root is -5e-201; in the last, the subnormal k*mu would leave
+# s3 off by 1.1e-5 relative.
+UNDERFLOWING_CUBIC = [
+    OscillatorParams(1.0, 1.0, 1e-200, 1e-200),
+    OscillatorParams(1e-200, 1.0, 1.0, 1e-200),
+    OscillatorParams(1e200, 1e-200, 1e-200, 1e-200),
+    OscillatorParams(
+        0.002002681621781289, 6.292939776094619e-269,
+        1.1120165706966207e-212, 1.2435969177141544e-209,
+    ),
+    OscillatorParams(1.0, 0.5, 1e-160, 1e-160),
+]
+
+
+@pytest.mark.parametrize(
+    "params", UNDERFLOWING_CUBIC, ids=["k*mu", "m*mu", "monic", "draw", "subnormal"]
+)
+def test_underflowing_cubic_is_degenerate(params):
+    with pytest.raises(DegenerateSpectrum, match="underflows float64"):
+        solve_eigen(params)
+
+
 def test_separation_gate_names_companion_eigenvalues():
     # all coefficients are positive, so no root is a positive real: the
     # message names the two companion eigenvalues it cannot resolve

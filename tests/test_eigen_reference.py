@@ -7,10 +7,12 @@ error scales evaluated through CharacteristicPolynomial.  The current
 solve builds the same companion matrix and does the same arithmetic in
 the same order, so every root, residue, flag, exception type and
 message must match bit for bit, in every regime including the ones it
-rejects.  Two exceptions: where the reference's residual tripwire
-raises ArithmeticError (Newton steps from a near-triple root), and where
-its eigvals raises LinAlgError (a monic coefficient overflows float64),
-the solve raises DegenerateSpectrum.
+rejects.  In three cases the solve raises DegenerateSpectrum instead:
+where the reference's residual tripwire raises ArithmeticError (Newton
+steps from a near-triple root), where its eigvals raises LinAlgError (a
+monic coefficient overflows float64), and where a coefficient of the
+cubic underflows to 0, which the reference takes as exact (np.roots
+splits a zero trailing coefficient off as a root at 0).
 """
 
 import collections
@@ -262,8 +264,10 @@ def test_solve_eigen_bit_identical_to_np_roots_reference(regime):
     [
         (1.0, 1.125, 0.5, 4.0),  # (s+1)^2 (s+2)
         (1.0, 8.0 / 9.0, 1.0 / 3.0, 3.0),  # (s+1)^3 to rounding
-        (1.0, 1.0, 1e-200, 1e-200),  # k*mu underflows: np.roots splits off a root at 0
-        # as above; here the 3x3 companion would give the other roots other bits
+        # The next four have a coefficient that underflows to 0, which the
+        # reference takes as exact; the solve raises DegenerateSpectrum.
+        (1.0, 1.0, 1e-200, 1e-200),  # k*mu: np.roots splits off a root at 0
+        # as above, at a draw whose other two roots the 3x3 companion moves
         (
             0.002002681621781289, 6.292939776094619e-269,
             1.1120165706966207e-212, 1.2435969177141544e-209,
@@ -279,6 +283,9 @@ def test_solve_eigen_bit_identical_on_edge_inputs(m, c, k, mu):
     expected, got = _outcome(_ref_solve_eigen, params), _outcome(solve_eigen, params)
     if expected[0] is np.linalg.LinAlgError:  # see the module docstring
         assert got[0] is DegenerateSpectrum and "overflows float64" in got[1], params
+        expected = got
+    if 0.0 in characteristic_poly(params).coefficients:  # see the module docstring
+        assert got[0] is DegenerateSpectrum and "underflows float64" in got[1], params
         expected = got
     assert _bits(got) == _bits(expected)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from expdamp import (
     OscillatorParams,
     ResonantKernel,
     Sine,
+    StepTooLarge,
     Trajectory,
     exp_convolution,
     forced_response,
@@ -480,6 +482,32 @@ def test_near_double_root_raises_typed_error(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("DegenerateSpectrum: closed form misses")
+
+
+# A draw of the seeded outcome probe (omega dt near 2e20), whose scan
+# overflows, and a step of 1e10 at omega = 1e300, whose step map's norm
+# passes float64's range.
+UNRESOLVABLE_STEP = [
+    (
+        OscillatorParams(
+            1.0752014100853305e-21, 0.08565314066164373, 4.818942361012487e23,
+            2.3068237641684912e-05,
+        ),
+        1.0, 0.01,
+    ),
+    (OscillatorParams(1e-300, 1.0, 1e300, 1.0), 2e10, 1e10),
+]
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("params, t_end, dt", UNRESOLVABLE_STEP, ids=["scan", "map"])
+def test_unresolvable_step_raises_step_too_large(params, t_end, dt, action):
+    # with RuntimeWarnings as errors and without: StepTooLarge, and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(StepTooLarge, match="leaves float64's range"):
+            forced_response(params, REF_STATE, REF_HISTORY, Constant(0.0), t_end, dt)
+    assert not caught
 
 
 @pytest.mark.parametrize(
