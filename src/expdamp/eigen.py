@@ -172,6 +172,12 @@ def solve_eigen(params: OscillatorParams) -> EigenSolution:
                 break
             s = s - (((c3 * s + c2) * s + c1) * s + c0) / dp
         roots.append(s)
+    if not all(math.isfinite(r.real) and math.isfinite(r.imag) for r in roots):
+        raise DegenerateSpectrum(
+            "Newton steps from the companion eigenvalues "
+            + ", ".join(f"{complex(z):.6g}" for z in raw)
+            + " leave float64's range"
+        )
 
     scale = max(abs(r) for r in roots)
     for i in range(3):

@@ -206,19 +206,29 @@ def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
 _HOLD_INVERSE = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6
 
 
+def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:n + 2] = the n samples f with one node past each end, so that step
+    i of the cubic hold reads its four nodes at out[i:i + 4]; returns out.
+
+    Each end node lies on the polynomial through the d + 1 = min(4, n)
+    nearest samples: the weights (-1)^j C(d+1, j+1) zero the (d+1)-th
+    difference.  So the hold is exact for cubic f, the end steps included.
+    """
+    n, d = len(f), min(3, len(f) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    out[0] = np.dot(ends, f[: d + 1])
+    out[1 : n + 1] = f
+    out[n + 1] = np.dot(ends, f[: -d - 2 : -1])
+    return out
+
+
 def _hold(f: np.ndarray, moments, out: np.ndarray) -> np.ndarray:
     """out[r, i] = sum_j moments[r][j] c_ij, c_ij the tau^j coefficient of the
-    cubic hold on step i of the n samples f: each moment row is what a linear
-    functional gives for tau^j, and out has n - 1 columns.
-
-    One node past each end of f, on the polynomial through its d + 1 =
-    min(4, n) nearest samples, gives every step, the end steps included,
-    its four nodes: the weights (-1)^j C(d+1, j+1) zero the (d+1)-th
-    difference.  So the hold is exact for cubic f.
+    cubic hold on step i of the n samples f (end-extended by _extend): each
+    moment row is what a linear functional gives for tau^j, and out has
+    n - 1 columns.
     """
-    d = min(3, len(f) - 1)
-    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    f = np.r_[np.dot(ends, f[: d + 1]), f, np.dot(ends, f[: -d - 2 : -1])]
+    f = _extend(f, np.empty(len(f) + 2))
     for row, taps in zip(out, np.asarray(moments) @ _HOLD_INVERSE):
         row[:] = np.convolve(f, taps[::-1], "valid")  # one 4-tap correlation
     return out

@@ -72,8 +72,8 @@ def integrate(
     is the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P
     the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
     the identity (giving P) and on unit forcing at the start, middle and
-    end of a step (giving q0, qm, q1); the chunked doubling scan that the
-    forced scan also uses solves the recurrence.
+    end of a step (giving q0, qm, q1); _scan, the drive-only case of the
+    forced scan's block kernel, solves the recurrence.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).
@@ -104,10 +104,10 @@ def integrate(
     k3 = rhs(z + 0.5 * dt * k2, fm)
     k4 = rhs(z + dt * k3, f1)
     step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    z = np.empty((3, len(t)))
-    z[:, 0] = state.x0, state.v0, weight.value
-    z[:, 1:] = step[:, 3:] @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]])
-    xs, vs, ys = _scan(step[:, :3], z)
+    z = np.empty((len(t), 3))
+    z[0] = state.x0, state.v0, weight.value
+    z[1:] = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
+    xs, vs, ys = _scan(step[:, :3], z).T
     return Trajectory(dt=dt, x=xs, xdot=vs, weight=weight, y=ys)
 
 
@@ -120,9 +120,9 @@ def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.nd
     mu*dt underflows and a kernel would reject it."""
     binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
     moments = [_weight_polynomial(b, mu * dt, 1.0) for b in binomials]
-    acc = np.zeros((1, len(values)))
-    _hold(values, [moments], acc[:, 1:])
-    return _scan(np.array([[math.exp(-mu * dt)]]), acc)[0]
+    acc = np.zeros((len(values), 1))
+    _hold(values, [moments], acc[1:].T)
+    return _scan(np.array([[math.exp(-mu * dt)]]), acc)[:, 0]
 
 
 def convolution_check(trajectory: Trajectory) -> float:

@@ -36,7 +36,8 @@ from .model import (
     InitialState,
     OscillatorParams,
     Sine,
-    _hold,
+    _HOLD_INVERSE,
+    _extend,
     _shape_eval,
 )
 
@@ -243,6 +244,10 @@ def response_terms(
     )
 
 
+# Callables are sampled _CHUNK points at a time (see _forcing_on_grid).
+_CHUNK = 4096
+
+
 def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     if isinstance(forcing, (Constant, Sine)):
         values = _shape_eval(forcing, t)
@@ -274,67 +279,155 @@ def _forcing_on_grid(forcing, t: np.ndarray) -> np.ndarray:
     return values
 
 
-# _scan takes the grid _CHUNK columns at a time, so its temporaries keep
-# one size whatever the grid length.  A doubling scan of the whole grid at
-# once is memory-bound: on 3 x 1e6 columns (2-CPU host, min of 9) it took
-# 77 ms and 24 MB traced, against 41 ms and 0.15 MB chunked.
-_CHUNK = 4096
+# Steps are taken _BLOCK at a time.  A block of 8 costs one product of
+# 8 + 3 + 3 inputs (its samples, the 3 its last steps read past it, and the
+# state it starts from) by 24 outputs: 42 multiply-adds a step, where 16
+# would cost 66, and fewer would leave more block ends to carry.  It must
+# be a power of two for the squarings in _operators.  OpenBLAS keeps a
+# product on one thread while m*n*k <= 2**18 = _MNK and splits it above
+# that; on a loaded 2-CPU host the split products were slow and erratic
+# (5e4 points in 4096-row products took 4.4 ms, in 780-row ones 0.2 ms),
+# so each product takes at most _MNK // (its other two sizes) rows.
+_BLOCK = 8
+_MNK = 2**18
 
 
-def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z_i <- p @ z_{i-1} + z_i along the columns, in place.
+def _operators(p: np.ndarray, steps: int, taps=None) -> list[np.ndarray]:
+    """The float64 operators of _blocks for a recurrence of `steps` steps
+    with the long-double step map p, one per level, built together.
 
-    Each chunk of _CHUNK columns is solved by doubling: after the pass
-    with lag k, column i holds p**j @ z_{i-j} summed over its last 2k
-    terms.  A chunk's first column first takes p @ the previous chunk's
-    last column, which the passes then carry through the chunk.  Powers
-    of p are squared in long double, because squared in float64 they
-    drift like lag*eps.
+    Level L steps with phi = p**(_BLOCK**L).  Its operator has a row per
+    input and a column per (step k, component j) of a block: for input i
+    of the drive of step l, (phi**(k-l))[j, i] when k >= l; below those,
+    d rows [phi**1 .. phi**_BLOCK] that carry the state a block starts
+    from.  At level 0, taps (d x w) first map a window of _BLOCK + w - 1
+    samples to the drives, drive l = sum_r taps[:, r] sample[l + r].  All
+    of it is formed in long double and rounded once.
     """
-    powers = []
-    power = np.asarray(p, dtype=np.longdouble)
-    while 2 ** len(powers) < min(_CHUNK, z.shape[1]):
-        powers.append(power.astype(float))
-        power = power @ power
-    for start in range(0, z.shape[1], _CHUNK):
-        block = z[:, start : start + _CHUNK]
-        if start:
-            block[:, 0] += p @ z[:, start - 1]
-        for j, power in enumerate(powers):
-            block[:, 2**j :] += power @ block[:, : -(2**j)]
+    d, log2 = len(p), _BLOCK.bit_length() - 1
+    levels, blocks = 1, -(-steps // _BLOCK)
+    while blocks > 1:
+        levels, blocks = levels + 1, -(-(blocks - 1) // _BLOCK)
+    # p**(2**k) - 1 by squaring, (1 + D)**2 = 1 + (2 + D) D, so that the
+    # rounding of each square is relative to D, not to 1.
+    chain = np.empty((levels * log2 + 1, d, d), dtype=np.longdouble)
+    chain[0], two = p - np.eye(d), 2 * np.eye(d)
+    for k in range(levels * log2):
+        np.matmul(chain[k], chain[k] + two, out=chain[k + 1])
+    chain += np.eye(d)
+    table = np.empty((levels, _BLOCK + 1, d, d), dtype=np.longdouble)  # phi**j
+    table[:, 0], table[:, 1] = np.eye(d), chain[:-1:log2]
+    for k in range(1, log2 + 1):
+        have = 2**k
+        take = min(have, _BLOCK + 1 - have)
+        table[:, have : have + take] = table[:, :take] @ chain[k::log2, None]
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))  # l - k
+    power, upper = np.maximum(-lag, 0), (lag <= 0)[:, :, None, None]
+    rounded = table.astype(float)  # the rest of the hold-free operators only moves entries
+    ops = np.where(upper, rounded[:, power], 0).transpose(0, 1, 4, 2, 3)
+    ops = ops.reshape(levels, _BLOCK * d, _BLOCK * d)
+    carry = rounded[:, 1:].transpose(0, 3, 1, 2).reshape(levels, d, _BLOCK * d)
+    out = list(np.concatenate([ops, carry], axis=1))
+    if taps is not None:
+        # Sample l + r of a window is tap r of step l's drive.
+        w = taps.shape[1]
+        spread = np.where(upper, (table[0, :_BLOCK] @ taps)[power], 0)
+        hold = np.zeros((_BLOCK + w - 1, _BLOCK, d), dtype=np.longdouble)
+        for r in range(w):
+            hold[r : r + _BLOCK] += spread[..., r]
+        out[0] = np.concatenate([hold.reshape(_BLOCK + w - 1, -1).astype(float), carry[0]])
+    return out
+
+
+def _blocks(ops: list[np.ndarray], z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """z[i] <- phi @ z[i-1] + (drive of step i) for i >= 1, _BLOCK steps at a
+    time, with ops from _operators and z of 1 + nb*_BLOCK rows of d, z[0]
+    the initial state.
+
+    u holds the inputs: a 2-d u (it may be z[1:]) gives step i the drive
+    u[i - 1]; a 1-d u, at least (nb + 1)*_BLOCK long, gives step i the
+    samples u[i - 1 : i + w - 1] of the taps.  Block b's states from rest
+    are its window of u times ops[0]; the states the blocks start from
+    obey the same recurrence with phi**_BLOCK, solved first by the next
+    level; then each block adds [phi**1 .. phi**_BLOCK] times its own.
+    """
+    op, d = ops[0], z.shape[1]
+    nb, width = (len(z) - 1) // _BLOCK, len(op) - d
+    # x1 holds each block's own inputs; x2, for taps, the w - 1 samples
+    # that its last steps read from the next block.
+    x1 = u[: nb * _BLOCK].reshape(nb, -1)
+    own = x1.shape[1]
+    x2 = u[_BLOCK : (nb + 1) * _BLOCK].reshape(nb, -1)[:, : width - own] if width > own else None
+    ends = z[:1]
+    if nb > 1:
+        ends = np.zeros((1 + -(-(nb - 1) // _BLOCK) * _BLOCK, d))
+        ends[0] = z[0]
+        rows = _MNK // (own * d)
+        for b0 in range(0, nb - 1, rows):
+            b1 = min(nb - 1, b0 + rows)
+            out = np.matmul(x1[b0:b1], op[:own, -d:], out=ends[1 + b0 : 1 + b1])
+            if x2 is not None:
+                out += x2[b0:b1] @ op[own:width, -d:]
+        _blocks(ops[1:], ends, ends[1:])
+    rows = _MNK // op.size
+    buf = np.empty((min(rows, nb), len(op)), order="F")  # column copies run long
+    for b0 in range(0, nb, rows):
+        b1 = min(nb, b0 + rows)
+        buf[: b1 - b0, :own] = x1[b0:b1]
+        if x2 is not None:
+            buf[: b1 - b0, own:width] = x2[b0:b1]
+        buf[: b1 - b0, width:] = ends[b0:b1]
+        np.matmul(buf[: b1 - b0], op, out=z[1 + b0 * _BLOCK : 1 + b1 * _BLOCK].reshape(b1 - b0, -1))
     return z
 
 
+def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z_i <- p @ z_{i-1} + z_i down the rows, into a new (n, d) array.
+
+    The drive-only case of _blocks, on a copy of z padded to whole blocks.
+    """
+    nb = -(-(len(z) - 1) // _BLOCK)
+    out = np.zeros((1 + nb * _BLOCK, z.shape[1]))
+    out[: len(z)] = z
+    ops = _operators(np.asarray(p, dtype=np.longdouble), len(z) - 1)
+    return _blocks(ops, out, out[1:])[: len(z)]
+
+
+# 1/j! for j = 0..19, as the (5, 4) coefficients of _expm's Paterson-
+# Stockmeyer form; those past degree 16 are zero.
+_TAYLOR = np.array([1 / np.longdouble(math.factorial(j)) if j <= 16 else 0 for j in range(20)])
+_TAYLOR = _TAYLOR.reshape(5, 4)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of one small matrix: scaling, degree-16 Taylor, squaring."""
+    """exp of one small matrix: scaling, degree-16 Taylor, squaring.
+
+    The Taylor sum is sum_i (sum_r x**r / (4i + r)!) (x**4)**i, by Horner in
+    x**4 (Paterson & Stockmeyer 1973): 7 products where term by term takes 16.
+    """
     norm = min(float(np.abs(a).sum(axis=0).max()), 1e300)  # a long double can cast to inf
     s = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.25)))
-    scaled = a / 2.0**s
-    out = term = np.eye(len(a))
-    for j in range(1, 17):
-        term = term @ scaled / j
-        out = out + term
+    x = a / 2.0**s
+    powers = [np.eye(len(a), dtype=a.dtype), x, x @ x]
+    powers.append(powers[2] @ x)
+    parts = np.tensordot(_TAYLOR.astype(a.dtype), np.array(powers), 1)
+    out, x4 = parts[4], powers[2] @ powers[2]
+    for part in parts[3::-1]:
+        out = out @ x4 + part
     for _ in range(s):
         out = out @ out
     return out
 
 
-def _forced_convolution(params, f: np.ndarray, dt: float, z0):
-    """Cubic-hold response (x, v, y) to the forcing samples f from state z0.
+def _step_map(params, dt: float):
+    """(P, Gamma) in long double: P = exp(A*dt) for z = (x, v, y), which obeys
+    z' = A z + b f, b = (0, 1/m, 0); Gamma = [Gamma_0 .. Gamma_3], the
+    integrals over one step of exp(A*(dt - s)) b against (s/dt)**j.
 
-    z = (x, v, y) obeys z' = A z + b f, b = (0, 1/m, 0), and y(0) = W holds
-    the whole history, so z0 = (x0, v0, W) is the full initial state; from
-    rest the rows are h*f and hdot*f.  On the exact step map P = exp(A*dt),
-    kept in long double (in float64 its rounding grows like n*eps), step i
-    adds g_i, the exact integral of exp(A*(dt - s)) b against the cubic hold
-    of f on that step (model._hold): z_i = P z_{i-1} + g_i, a _scan.  So the
-    result is exact for cubic f and O(dt^4) for smooth f.
-
-    With tau = s/dt, g_i = sum_j c_j Gamma_j for the cubic sum_j c_j tau^j,
-    where Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j dtau is j!
-    dt/m times column 3 + j of exp([[A dt, e1 e0'], [0, N]]), N the 4 x 4
-    shift (Van Loan 1978): linear in the forcing column, which enters at
-    unit scale so that dt/m cannot inflate the block's norm.
+    With tau = s/dt, Gamma_j = integral_0^1 exp(A*dt*(1 - tau)) b dt tau^j
+    dtau is j! dt/m times column 3 + j of exp([[A dt, e1 e0'], [0, N]]), N
+    the 4 x 4 shift (Van Loan 1978): linear in the forcing column, which
+    enters at unit scale so that dt/m cannot inflate the block's norm.
 
     The block holds S A S^-1 dt, S = diag(2^p, 1, 2^q), whose entries are
     near omega dt, sqrt(c mu/m) dt and mu dt: then _expm's scaling, and so
@@ -350,17 +443,34 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0):
     block[:3, :3] = a * s[:, None] / s * dt
     block[1, 3] = 1
     block[3:, 3:] = np.eye(4, k=1)
-    # An overflow in P, Gamma or the scan leaves a NaN or inf in the last column.
+    e = _expm(block)[:3] / s[:, None]
+    return e[:, :3] * s, e[:, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)
+
+
+def _forced_convolution(params, f: np.ndarray, dt: float, z0) -> np.ndarray:
+    """Cubic-hold response to the forcing samples f from state z0, as an
+    (n, 3) array of rows (x, v, y).
+
+    y(0) = W holds the whole history, so z0 = (x0, v0, W) is the full
+    initial state; from rest the columns are h*f and hdot*f.  Step i adds
+    g_i = Gamma c_i, c_i the tau^0..tau^3 coefficients of the cubic through
+    f at steps i-2..i+1 (model's cubic hold, end steps by _extend), so
+    z_i = P z_{i-1} + g_i is exact for cubic f and O(dt^4) for smooth f
+    (_step_map).  _blocks solves the recurrence; P stays in long double
+    until its powers are rounded into the block operators.
+    """
+    n, nb = len(f), -(-(len(f) - 1) // _BLOCK)
+    # An overflow in P, Gamma or the scan leaves a NaN or inf in the last row.
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _expm(block)[:3] / s[:, None]
-        gamma = (e[:, 3:] * [1, 1, 2, 6] * (np.longdouble(dt) / m)).astype(float)
-        g = np.empty((3, len(f)))
-        g[:, 0] = z0
-        _hold(f, gamma, g[:, 1:])
-        z = _scan(e[:, :3] * s, g)
-    if not np.isfinite(z[:, -1]).all():
+        p, gamma = _step_map(params, dt)
+        # _HOLD_INVERSE holds sixths, which 6x gives back as exact integers.
+        ops = _operators(p, n - 1, gamma @ (_HOLD_INVERSE * 6).astype(np.longdouble) / 6)
+        z = np.empty((1 + nb * _BLOCK, 3))
+        z[0] = z0
+        _blocks(ops, z, _extend(f, np.zeros((nb + 1) * _BLOCK)))
+    if not np.isfinite(z[n - 1]).all():
         raise StepTooLarge(f"the step map or the scan leaves float64's range at dt = {dt:g}")
-    return z
+    return z[:n]
 
 
 def forced_response(
@@ -383,7 +493,8 @@ def forced_response(
         f = _forcing_on_grid(forcing, t)
         del t  # the scan needs only the samples and its own result
         weight = history_weight(params.kernel, history)
-        x, xdot, y = _forced_convolution(params, f, step, (state.x0, state.v0, weight.value))
+        z0 = (state.x0, state.v0, weight.value)
+        x, xdot, y = _forced_convolution(params, f, step, z0).T
         return Trajectory(dt=step, x=x, xdot=xdot, weight=weight, y=y)
     eig, weight, t = _closed_form(params, state, history, t)
     x = np.asarray(_assemble(params, eig, state, weight.value, t), dtype=float)

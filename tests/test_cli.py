@@ -253,7 +253,8 @@ def test_degenerate_spectrum_exits_3(tmp_path, capsys):
     # an exact double root, a near-double root whose residues cancel, a
     # near-triple root whose Newton polish leaves the cubic, a pair below
     # float64's resolution at the scale of mu, c = 0 with k*mu overflowing,
-    # and (the last five) a cubic with a zero or subnormal coefficient
+    # (the next five) a cubic with a zero or subnormal coefficient, and
+    # Newton steps that leave float64's range
     for params in (
         {"m": 1.0, "c": 1.125, "k": 0.5, "mu": 4.0},
         {"m": 1.0, "c": 0.5, "k": 4.0, "mu": 1e158},
@@ -268,6 +269,8 @@ def test_degenerate_spectrum_exits_3(tmp_path, capsys):
         {"m": 0.002002681621781289, "c": 6.292939776094619e-269,
          "k": 1.1120165706966207e-212, "mu": 1.2435969177141544e-209},
         {"m": 1.0, "c": 0.5, "k": 1e-160, "mu": 1e-160},
+        {"m": 162529070989801.0, "c": 1.846789644058172e-54,
+         "k": 67546960.59658796, "mu": 9.67043808467929e194},
     ):
         code = cli.main(["eigen", "--config", _write_config(tmp_path, {"params": params})])
         assert code == 3

@@ -184,6 +184,11 @@ def test_near_triple_newton_miss_is_degenerate():
 EXTREME_SCALE = [OscillatorParams(1.0, 0.5, 4.0, mu) for mu in (1e118, 1e158, 1e208, 1e258, 1e298)]
 EXTREME_SCALE += [OscillatorParams(1.0, 1.0, k, 1.0) for k in (1e260, 1e300)]
 EXTREME_SCALE += [OscillatorParams(1.0, 0.0, 1e200, 1e200)]
+# A draw of the log-uniform scale probe on [1e-300, 1e300]: the Newton
+# steps from the eigenvalue near -mu overflow to NaN.
+EXTREME_SCALE += [
+    OscillatorParams(162529070989801.0, 1.846789644058172e-54, 67546960.59658796, 9.67043808467929e194)
+]
 
 
 @pytest.mark.parametrize("params", EXTREME_SCALE, ids=lambda p: f"mu={p.mu:g},k={p.k:g}")

@@ -36,12 +36,23 @@ from expdamp import (
     solve_eigen,
     time_grid,
 )
-from expdamp.response import _CHUNK, _forced_convolution, _forcing_on_grid
+from expdamp.model import _HOLD_INVERSE, _extend
+from expdamp.response import (
+    _BLOCK,
+    _CHUNK,
+    _MNK,
+    _forced_convolution,
+    _forcing_on_grid,
+    _step_map,
+)
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
 REF_STATE = InitialState(x0=1.0, v0=0.3)
 REF_HISTORY = HistoryProfile(a=1.0, shape=Constant(1.0))
+# Block rows per matmul of the forced kernel: each block reads its _BLOCK
+# samples, 3 past it and its 3-vector start state, into _BLOCK states.
+_HOLD_ROWS = _MNK // ((_BLOCK + 6) * 3 * _BLOCK)
 
 
 def test_time_grid_commensurate():
@@ -369,20 +380,52 @@ def _cubic_hold_recursion(eig, f, dt):
     ids=["damped-pair", "three-real", "undamped", "stiff-kernel"],
 )
 @pytest.mark.parametrize(
-    "n", [2, 3, 4, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+    "n",
+    [2, 3, 4, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+    + [2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2]
+    + [_HOLD_ROWS * _BLOCK, _HOLD_ROWS * _BLOCK + 1, _HOLD_ROWS * _BLOCK + 2]
+    + [2 * _HOLD_ROWS * _BLOCK + 1, 2 * _HOLD_ROWS * _BLOCK + 2],
 )
 def test_forced_convolution_matches_recursion(params, n):
-    # grid lengths straddle the fewest points of a cubic hold (4) and one
-    # chunk (_CHUNK steps); the undamped case has |exp(s*dt)| = 1 and a
-    # zero kernel residue; in the stiff-kernel case exp(s3*dt)**j
-    # underflows to zero well inside one chunk
+    # grid lengths straddle the fewest points of a cubic hold (4), two
+    # blocks (n - 1 steps of _BLOCK), and one and two matmuls of blocks
+    # (_HOLD_ROWS); the undamped case has |exp(s*dt)| = 1 and a zero kernel
+    # residue; in the stiff-kernel case exp(s3*dt)**j underflows to zero
     eig = solve_eigen(params)
     dt = 0.01
     t = np.arange(n) * dt
     f = np.cos(1.3 * t) + np.random.default_rng(n).uniform(-0.5, 0.5, n)
     ref = _cubic_hold_recursion(eig, f, dt)
-    for got, want in zip(_forced_convolution(params, f, dt, (0.0, 0.0, 0.0))[:2], ref):
+    for got, want in zip(_forced_convolution(params, f, dt, (0.0, 0.0, 0.0)).T[:2], ref):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize(
+    "params",
+    [REFERENCE, OscillatorParams(1.0, 0.0, 1.0, 3.0), OscillatorParams(1.0, 0.5, 4.0, 80.0)],
+    ids=["reference", "c=0", "mu=80"],
+)
+def test_forced_convolution_matches_long_double_recursion(params):
+    # On the kernel's own P and Gamma, the step-by-step recursion in long
+    # double over 1e5 points.  The blocks and their carried ends round a few
+    # times, not once per step, so the error stays within 2e-15 of scale
+    # (the doubling scan this replaced read 2.8e-15 on c = 0).
+    n, dt, z0 = 100_001, 1e-3, (1.0, 0.3, 0.8)
+    f = np.cos(1.3 * np.arange(n) * dt) + np.random.default_rng(5).uniform(-0.5, 0.5, n)
+    p, gamma = _step_map(params, dt)
+    sixths = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]])
+    assert np.array_equal(sixths / 6, _HOLD_INVERSE)
+    taps = gamma @ sixths.astype(np.longdouble) / 6
+    g = np.lib.stride_tricks.sliding_window_view(_extend(f, np.empty(n + 2)), 4) @ taps.T
+    want = np.empty((n, 3), dtype=np.longdouble)
+    want[0] = z0
+    for i in range(1, n):
+        want[i] = p @ want[i - 1] + g[i - 1]
+    got = _forced_convolution(params, f, dt, z0)
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 2e-15
 
 
 def _whole_grid_forcing(forcing, t):
@@ -429,19 +472,19 @@ def test_chunked_forced_path_bitwise_equal_to_whole_grid(n, monkeypatch):
 @pytest.mark.parametrize(
     "forcing, bound",
     [
-        (math.sin, 2.1),
-        (Constant(0.0), 2.1),
-        (Sine(1.0, 2.0, 0.0), 2.1),
-        (np.sin(2.0 * time_grid(20.0, 1e-4)), 1.75),
+        (math.sin, 1.95),
+        (Constant(0.0), 1.95),
+        (Sine(1.0, 2.0, 0.0), 1.95),
+        (np.sin(2.0 * time_grid(20.0, 1e-4)), 1.6),
     ],
     ids=["callable", "constant", "sine", "samples"],
 )
 def test_forced_response_working_memory(forcing, bound):
-    # The traced peak of forced_response, in units of its (3, n) result: the
-    # result, the samples it makes (none for given samples), their
-    # end-extended copy and one np.convolve row, 2x and 5/3x.  A time grid
-    # kept through the scan, or a whole-grid list of Python floats, adds
-    # at least 1/3.
+    # The traced peak of forced_response, in units of its (n, 3) result:
+    # the result, the samples it makes (none for given samples), their
+    # end-extended copy and the states the blocks start from (1/8), 1.85x
+    # and 1.52x.  A time grid kept through the scan, a whole-grid list of
+    # Python floats, or a (3, n) drive array adds at least 1/3.
     run = lambda: forced_response(REFERENCE, REF_STATE, REF_HISTORY, forcing, 20.0, 1e-4)
     run()
     tracemalloc.start()
@@ -591,7 +634,7 @@ def test_seeded_scan_matches_long_double_powers(params, t_end, dt):
     n, step = len(t), float(t[1])
     stride = 1 if n <= 100_000 else 1000
     z0 = (REF_STATE.x0, REF_STATE.v0, history_weight(params.kernel, REF_HISTORY).value)
-    x, v, y = _forced_convolution(params, np.zeros(n), step, z0)
+    x, v, y = _forced_convolution(params, np.zeros(n), step, z0).T
     want = _long_double_powers(params, z0, step, n, stride)
     for got, ref in zip((x[::stride], v[::stride], y[::stride]), want, strict=True):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
