@@ -368,6 +368,13 @@ def _load_gridded(args) -> tuple[ScenarioConfig, float, float]:
     return cfg, t_end, dt
 
 
+def _same_grid(t: np.ndarray, grid: np.ndarray) -> bool:
+    # A millionth of the step passes rounding up to about 1e9 steps and
+    # rejects a grid shifted by a share of a step at any scale.
+    step = abs(grid[-1] - grid[0]) / max(1, len(grid) - 1)
+    return len(t) == len(grid) and float(np.max(np.abs(t - grid))) <= 1e-6 * step
+
+
 def _realize_forcing(forcing: ForcingSpec | None, t: np.ndarray, config_dir: Path):
     # None and the Constant/Sine specs go to the solvers as they are.
     if not isinstance(forcing, SamplesForcing):
@@ -377,7 +384,7 @@ def _realize_forcing(forcing: ForcingSpec | None, t: np.ndarray, config_dir: Pat
         path = config_dir / path
     cols = _read_csv_columns(path, ("t", "f"))
     ft = cols["t"]
-    if len(ft) != len(t) or float(np.max(np.abs(ft - t))) > 1e-12:
+    if not _same_grid(ft, t):
         raise ConfigError(
             f"forcing file {path} has {len(ft)} rows and does not match "
             f"the {len(t)}-point scenario grid"
@@ -420,10 +427,10 @@ def _cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return EXIT_GRID
-    if float(np.max(np.abs(a["t"] - b["t"]))) > 1e-12:
+    if not _same_grid(a["t"], b["t"]):
         print(
             f"grid mismatch: t columns of {args.path_a} and {args.path_b} "
-            "differ by more than 1e-12",
+            "differ by more than 1e-6 of the grid step",
             file=sys.stderr,
         )
         return EXIT_GRID

@@ -222,16 +222,13 @@ def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hold(f: np.ndarray, moments, out: np.ndarray) -> np.ndarray:
-    """out[r, i] = sum_j moments[r][j] c_ij, c_ij the tau^j coefficient of the
-    cubic hold on step i of the n samples f (end-extended by _extend): each
-    moment row is what a linear functional gives for tau^j, and out has
-    n - 1 columns.
+def _hold(f: np.ndarray, moment) -> np.ndarray:
+    """The n - 1 values sum_j moment[j] c_ij, c_ij the tau^j coefficient of
+    the cubic hold on step i of the n samples f (end-extended by _extend):
+    moment[j] is what one linear functional gives for tau^j.
     """
-    f = _extend(f, np.empty(len(f) + 2))
-    for row, taps in zip(out, np.asarray(moments) @ _HOLD_INVERSE):
-        row[:] = np.convolve(f, taps[::-1], "valid")  # one 4-tap correlation
-    return out
+    taps = (np.asarray(moment) @ _HOLD_INVERSE)[::-1]  # one 4-tap correlation
+    return np.convolve(_extend(f, np.empty(len(f) + 2)), taps, "valid")
 
 
 def history_eval(profile: HistoryProfile, t):

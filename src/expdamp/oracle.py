@@ -52,7 +52,7 @@ def _forcing_arrays(forcing, t: np.ndarray, dt: float):
     nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
     if callable(forcing) or isinstance(forcing, (Constant, Sine)):
         return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-    return nodes, _hold(nodes, [[1.0, 0.5, 0.25, 0.125]], np.empty((1, len(t) - 1)))[0]
+    return nodes, _hold(nodes, [1.0, 0.5, 0.25, 0.125])
 
 
 def integrate(
@@ -67,13 +67,13 @@ def integrate(
 
     forcing may be None, a Constant or Sine spec, a callable f(t), or an
     array of samples on the grid; samples enter at each step's midpoint as
-    the cubic through the four nearest of them, so smooth samples keep the
-    O(dt^4) too.  The system is linear, so one RK4 step
-    is the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P
-    the degree-4 Taylor polynomial of A*dt.  The four stages run once, on
-    the identity (giving P) and on unit forcing at the start, middle and
-    end of a step (giving q0, qm, q1); _scan, the drive-only case of the
-    forced scan's block kernel, solves the recurrence.
+    the cubic through the four nearest of them (model._hold of the moment
+    2^-j), so smooth samples keep the O(dt^4) too.  The system is linear,
+    so one RK4 step is the affine map z <- P z + q0 f_i + qm f_{i+1/2} +
+    q1 f_{i+1}, with P the degree-4 Taylor polynomial of A*dt.  The four
+    stages run once, on the identity (giving P) and on unit forcing at the
+    start, middle and end of a step (giving q0, qm, q1); _scan, the
+    drive-only case of the forced scan's block kernel, solves the recurrence.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).
@@ -114,14 +114,14 @@ def integrate(
 def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
     """integral_0^{t_n} mu*exp(-mu*(t_n-s))*values(s) ds for all n, each step
     the W (rate mu*dt, u = (s-t_n)/dt in [-1, 0]) of the cubic hold of values:
-    the hold's tau is u + 1, so model._hold takes the W of (u + 1)^j as its
-    moments; the scan adds the decay e^(-mu*dt).  The moments come from
+    the hold's tau is u + 1, so model._hold's moment j is the W of
+    (u + 1)^j; the scan adds the decay e^(-mu*dt).  The moments come from
     history's polynomial rule at the raw rate, which gives exactly 0 where
     mu*dt underflows and a kernel would reject it."""
     binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
     moments = [_weight_polynomial(b, mu * dt, 1.0) for b in binomials]
     acc = np.zeros((len(values), 1))
-    _hold(values, [moments], acc[1:].T)
+    acc[1:, 0] = _hold(values, moments)
     return _scan(np.array([[math.exp(-mu * dt)]]), acc)[:, 0]
 
 

@@ -574,13 +574,35 @@ def test_sampled_forcing_grid_mismatch_exits_2(tmp_path, capsys):
     assert "forcing" in capsys.readouterr().err
 
 
+def _picosecond_rows(shift):
+    # The 1001-point grid of t_end = 1e-9, dt = 1e-12, moved by shift.
+    t = np.arange(1001) * (1e-9 / 1000) + shift
+    return "".join(f"{ti!r},{math.sin(1e9 * ti)!r}\n" for ti in t.tolist())
+
+
+def test_sampled_forcing_half_step_shift_exits_2(tmp_path, capsys):
+    # An absolute 1e-12 match accepted this grid shifted by half its step;
+    # moved by 1e-24, a few ulps of t_end, the file still matches.
+    doc = {
+        **REF_DOC,
+        "forcing": {"type": "samples", "path": "force.csv"},
+        "grid": {"t_end": 1e-9, "dt": 1e-12},
+    }
+    cfg, out = _write_config(tmp_path, doc), str(tmp_path / "x.csv")
+    (tmp_path / "force.csv").write_text("t,f\n" + _picosecond_rows(1e-24), encoding="utf-8")
+    assert cli.main(["respond", "--config", cfg, "--out", out]) == 0
+    (tmp_path / "force.csv").write_text("t,f\n" + _picosecond_rows(0.5e-12), encoding="utf-8")
+    assert cli.main(["respond", "--config", cfg, "--out", out]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "rows",
     ["0.0,0.0\nnan,1.0\n0.02,0.0", "0.0,0.0\n0.01,inf\n0.02,0.0"],
     ids=["nan-time", "inf-value"],
 )
 def test_sampled_forcing_non_finite_cell_exits_2(tmp_path, capsys, rows):
-    # a nan time would slip past the 1e-12 grid check (nan > 1e-12 is false)
+    # a nan time would slip past the grid check (nan > tolerance is false)
     (tmp_path / "force.csv").write_text(f"t,f\n{rows}\n", encoding="utf-8")
     doc = {
         **REF_DOC,
@@ -684,6 +706,16 @@ def test_compare_t_columns_differ_exits_6(tmp_path, capsys):
     b.write_text("t,x,xdot\n0.0,1.0,0.0\n0.2,0.9,-0.1\n", encoding="utf-8")
     assert cli.main(["compare", str(a), str(b)]) == 6
     assert "t columns" in capsys.readouterr().err
+
+
+def test_compare_half_step_shift_exits_6(tmp_path, capsys):
+    # An absolute 1e-12 match accepted these grids, half a step apart,
+    # and compared their rows as if they sat at the same times.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,x,xdot\n" + _picosecond_rows(0.0).replace("\n", ",0.0\n"), encoding="utf-8")
+    b.write_text("t,x,xdot\n" + _picosecond_rows(0.5e-12).replace("\n", ",0.0\n"), encoding="utf-8")
+    assert cli.main(["compare", str(a), str(b)]) == 6
+    assert "1e-6 of the grid step" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

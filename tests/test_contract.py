@@ -46,7 +46,6 @@ from expdamp import (
     verify_decay,
 )
 from expdamp.oracle import _resolution_limit
-from expdamp.response import _CHUNK
 
 
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this is the python -O rerun")
@@ -230,11 +229,12 @@ def _drive(kind, sine, t, i1):
 def _continuation_error(solve, params, drive, dt):
     # (x, v, y) at T1 is the whole state: a run continued from (x(T1),
     # v(T1)) with a Constant history on [-1, 0] of weight W = y(T1) and the
-    # forcing shifted by T1 must repeat the tail of the run from 0.
-    steps = 3 * _CHUNK + 1000
+    # forcing shifted by T1 must repeat the tail of the run from 0, at three
+    # T1 along a 13,288-step run.
+    steps = 13288
     full = solve(params, STATE, HISTORY, drive(time_grid(steps * dt, dt), 0), steps * dt, dt)
     worst = 0.0
-    for i1 in (_CHUNK, _CHUNK + 777, 3 * _CHUNK - 1):
+    for i1 in (4096, 4873, 12287):
         history = HistoryProfile(1.0, Constant(full.y[i1] / -math.expm1(-params.mu)))
         state = InitialState(full.x[i1], full.xdot[i1])
         cont = solve(params, state, history, drive(full.t, i1), (steps - i1) * full.dt, full.dt)

@@ -39,7 +39,6 @@ from expdamp import (
 from expdamp.model import _HOLD_INVERSE, _extend
 from expdamp.response import (
     _BLOCK,
-    _CHUNK,
     _MNK,
     _forced_convolution,
     _forcing_on_grid,
@@ -322,9 +321,10 @@ def test_forcing_sampling_bitwise_equal_to_per_point_reference(f):
 
 
 def test_forcing_callable_receives_python_floats():
-    seen = []
-    _forcing_on_grid(lambda ti: seen.append(type(ti)) or 0.0, time_grid(1.0, 0.1))
-    assert seen == [float] * 11
+    # one Python float per grid point, the grid's own values in its order
+    t, seen = time_grid(1.0, 0.1), []
+    _forcing_on_grid(lambda ti: seen.append(ti) or 0.0, t)
+    assert seen == t.tolist() and {type(ti) for ti in seen} == {float}
 
 
 @pytest.mark.parametrize(
@@ -381,7 +381,7 @@ def _cubic_hold_recursion(eig, f, dt):
 )
 @pytest.mark.parametrize(
     "n",
-    [2, 3, 4, 63, 64, 65, 66, 1025, 2049, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 5]
+    [2, 3, 4, 63, 64, 65, 66, 1025, 2049, 4096, 4097, 4098, 8197]
     + [2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2]
     + [_HOLD_ROWS * _BLOCK, _HOLD_ROWS * _BLOCK + 1, _HOLD_ROWS * _BLOCK + 2]
     + [2 * _HOLD_ROWS * _BLOCK + 1, 2 * _HOLD_ROWS * _BLOCK + 2],
@@ -429,20 +429,21 @@ def test_forced_convolution_matches_long_double_recursion(params):
 
 
 def _whole_grid_forcing(forcing, t):
-    # The one-shot form of _forcing_on_grid's chunked callable path: one
-    # list of Python floats for the whole grid.
+    # The reference form of _forcing_on_grid's callable path: one list of
+    # Python floats for the whole grid, where the path reads a memoryview.
     if callable(forcing) and not isinstance(forcing, (Constant, Sine)):
         return np.fromiter(map(float, map(forcing, t.tolist())), float, len(t))
     return _forcing_on_grid(forcing, t)
 
 
 @pytest.mark.parametrize(
-    "n", [2, 3, 4, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2, _CHUNK + 3, 3 * _CHUNK + 2]
+    "n", [2, 3, 4, 5, 4095, 4096, 4097, 4098, 4099, 12290]
 )
 def test_chunked_forced_path_bitwise_equal_to_whole_grid(n, monkeypatch):
-    # A callable is sampled _CHUNK points at a time; every float of
-    # forced_response and integrate stays that of one whole-grid list.
-    # Specs and samples, contiguous or strided, keep theirs too.
+    # A callable is sampled in one pass over a memoryview of the grid;
+    # every float of forced_response and integrate stays that of one
+    # whole-grid tolist().  Specs and samples, contiguous or strided, keep
+    # theirs too.
     rng = np.random.default_rng(n)
     params = OscillatorParams(*np.exp(rng.uniform(-1.0, 1.0, 4)).tolist())
     state, history = InitialState(*rng.normal(size=2).tolist()), REF_HISTORY
