@@ -130,7 +130,10 @@ def _section(doc: dict, key: str, required: bool = True) -> dict | None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past float64's range
+        raise ConfigError(f"{path}: expected a number within float64's range") from None
 
 
 def _number_list(value, path: str) -> tuple[float, ...]:

@@ -22,6 +22,7 @@ from .model import (
     Polynomial,
     Samples,
     Sine,
+    _check_finite,
 )
 
 __all__ = ["HistoryWeight", "history_weight"]
@@ -33,6 +34,9 @@ class HistoryWeight:
 
     value: float
     mu: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _check_finite("history weight W", self.value))
 
     def psi(self, t):
         """Initialization force psi(t) = W * exp(-mu*t) for t >= 0."""
@@ -48,45 +52,71 @@ def _weight_constant(v: float, mu: float, a: float) -> float:
 
 
 def _weight_sine(shape: Sine, mu: float, a: float) -> float:
-    # Antiderivative of exp(mu*tau)*sin(omega*tau + phase), evaluated on [-a, 0].
+    # Antiderivative of exp(mu*tau)*sin(omega*tau + phase), evaluated on
+    # [-a, 0], over mu^2 + omega^2 = r^2: mu and omega in units of r.  A
+    # power of two first brings them near 1, exactly, so r cannot overflow.
     w, phi = shape.omega, shape.phase
-    denom = mu * mu + w * w
-    upper = mu * math.sin(phi) - w * math.cos(phi)
-    lower = math.exp(-mu * a) * (mu * math.sin(phi - w * a) - w * math.cos(phi - w * a))
-    return shape.amplitude * mu * (upper - lower) / denom
+    e = math.frexp(max(mu, abs(w)))[1]
+    cm, cw = math.ldexp(mu, -e), math.ldexp(w, -e)
+    r = math.hypot(cm, cw)
+    cm, cw = cm / r, cw / r
+    upper = cm * math.sin(phi) - cw * math.cos(phi)
+    lower = math.exp(-mu * a) * (cm * math.sin(phi - w * a) - cw * math.cos(phi - w * a))
+    return shape.amplitude * cm * (upper - lower)
 
 
 def _weight_polynomial(coeffs, mu: float, a: float) -> float:
     # I_n = integral tau^n exp(mu*tau) on [-a, 0] = (-1)^n J_n, where J_n is
-    # the integral of s^n exp(-mu*s) on [0, a].
-    top = len(coeffs) - 1
-    x = mu * a
-    decay = math.exp(-x)
+    # the integral of s^n exp(-mu*s) on [0, a].  The end terms a^n e^-x and
+    # the c_n I_n are (mantissa, binary exponent) pairs, so none under- or
+    # overflows unless W does; e^-x alone underflows from x near 745.
+    top, x = len(coeffs) - 1, mu * a
+    k = max(0, math.frexp(x / 512)[1])  # e^-x = (e^-(x/2^k))^(2^k)
+    decay_m, decay_e = math.frexp(math.exp(-math.ldexp(x, -k)))
+    for _ in range(k):
+        decay_m, d = math.frexp(decay_m * decay_m)
+        decay_e = 2 * decay_e + d
+    f, g = math.frexp(a)
+
+    def end(n):  # a^n e^-x: pow's f**n in powers of f that stay normal
+        end_m, end_e = decay_m, decay_e + g * n
+        for r in [1000] * (n // 1000) + [n % 1000]:
+            end_m, d = math.frexp(end_m * f**r)
+            end_e += d
+        return end_m, end_e
+
+    parts = []
     if x > top:
-        # The parts recurrence upward multiplies rounding by about
+        # Integration by parts, upward, multiplies rounding by about
         # n!/(mu*a)^n, which stays near 1 while mu*a > n.
-        i_n = -math.expm1(-x) / mu
-        total = coeffs[0] * i_n
+        m, e = math.frexp(-math.expm1(-x) / mu)
+        parts.append((coeffs[0] * m, e))
         for n in range(1, top + 1):
-            i_n = -((-a) ** n * decay + n * i_n) / mu
-            total += coeffs[n] * i_n
-        return mu * total
-    # Below that, J_top = top! a^(top+1) e^-x sum_j x^j/(top+1+j)! and the
-    # recurrence downward, J_{n-1} = (mu J_n + a^n e^-x)/n, add positive
-    # terms only.
-    term = series = 1.0 / math.factorial(top + 1)
-    j = top + 1
-    while term > 1e-17 * series:
-        j += 1
-        term *= x / j
-        series += term
-    j_n = math.factorial(top) * a ** (top + 1) * decay * series
-    total = 0.0
-    for n in range(top, -1, -1):
-        total += coeffs[n] * (-1) ** n * j_n
-        if n:
-            j_n = (mu * j_n + a**n * decay) / n
-    return mu * total
+            end_m, end_e = end(n)
+            m, d = math.frexp(-((-1) ** n * math.ldexp(end_m, end_e - e) + n * m) / mu)
+            e += d
+            parts.append((coeffs[n] * m, e))
+    else:
+        # Below that, J_top = a^(top+1) e^-x sum_j x^j top!/(top+1+j)!, the
+        # ratio of factorials carried term by term, and the recurrence
+        # downward, J_{n-1} = (mu J_n + a^n e^-x)/n, add positive terms only.
+        term = series = 1.0 / (top + 1)
+        j = top + 1
+        while term > 1e-17 * series:
+            j += 1
+            term *= x / j
+            series += term
+        end_m, e = end(top + 1)
+        m, d = math.frexp(end_m * series)
+        e += d
+        for n in range(top, -1, -1):
+            parts.append((coeffs[n] * (-1) ** n * m, e))
+            if n:
+                end_m, end_e = end(n)
+                m, d = math.frexp((mu * m + math.ldexp(end_m, end_e - e)) / n)
+                e += d
+    scale = max(e for _, e in parts)  # one rounding for the sum
+    return math.ldexp(mu * math.fsum(math.ldexp(m, e - scale) for m, e in parts), scale)
 
 
 def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) -> HistoryWeight:
@@ -101,11 +131,14 @@ def history_weight(kernel: ExponentialKernel, profile: HistoryProfile | None) ->
     elif isinstance(shape, Sine):
         value = _weight_sine(shape, mu, a)
     elif isinstance(shape, Polynomial):
-        value = _weight_polynomial(shape.coeffs, mu, a)
+        try:
+            value = _weight_polynomial(shape.coeffs, mu, a)
+        except OverflowError:
+            raise ValueError("history weight W overflows float64") from None
     elif isinstance(shape, Samples):
         grid = profile.grid()
         value = mu * float(np.trapezoid(np.exp(mu * grid) * shape.values, grid))
     else:
         raise TypeError(f"unsupported history shape: {shape!r}")
-    return HistoryWeight(float(value), mu)
+    return HistoryWeight(value, mu)
 

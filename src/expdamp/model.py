@@ -29,7 +29,10 @@ __all__ = [
 
 
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float64's range
+        raise ValueError(f"{name} must be finite, got an integer past float64's range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -121,11 +124,9 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(_check_finite("coefficient", c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial history needs at least one coefficient")
-        for c in coeffs:
-            _check_finite("coefficient", c)
         object.__setattr__(self, "coeffs", coeffs)
 
 
@@ -140,11 +141,9 @@ class Samples:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_check_finite("sample", v) for v in self.values)
         if len(values) < 2:
             raise ValueError("sampled history needs at least 2 points")
-        for v in values:
-            _check_finite("sample", v)
         object.__setattr__(self, "values", values)
 
 
@@ -220,15 +219,6 @@ def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[1 : n + 1] = f
     out[n + 1] = np.dot(ends, f[: -d - 2 : -1])
     return out
-
-
-def _hold(f: np.ndarray, moment) -> np.ndarray:
-    """The n - 1 values sum_j moment[j] c_ij, c_ij the tau^j coefficient of
-    the cubic hold on step i of the n samples f (end-extended by _extend):
-    moment[j] is what one linear functional gives for tau^j.
-    """
-    taps = (np.asarray(moment) @ _HOLD_INVERSE)[::-1]  # one 4-tap correlation
-    return np.convolve(_extend(f, np.empty(len(f) + 2)), taps, "valid")
 
 
 def history_eval(profile: HistoryProfile, t):

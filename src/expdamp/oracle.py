@@ -28,7 +28,6 @@ from .model import (
     InitialState,
     OscillatorParams,
     Sine,
-    _hold,
 )
 from .response import Trajectory, _forcing_on_grid, _scan, time_grid
 
@@ -45,16 +44,6 @@ def _resolution_limit(params: OscillatorParams) -> float:
     return 0.05 * min(1.0 / mu, 2.0 * math.pi / np.abs(roots).max())
 
 
-def _forcing_arrays(forcing, t: np.ndarray, dt: float):
-    # Node values and the step-midpoint values RK4 needs.  Samples, and no
-    # forcing as zero samples, take midpoints off their cubic hold; a linear
-    # average would cost RK4 its O(dt^4).
-    nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
-    if callable(forcing) or isinstance(forcing, (Constant, Sine)):
-        return nodes, _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-    return nodes, _hold(nodes, [1.0, 0.5, 0.25, 0.125])
-
-
 def integrate(
     params: OscillatorParams,
     state: InitialState,
@@ -66,14 +55,14 @@ def integrate(
     """Classic fixed-step RK4 on (x, v, y); global error O(dt^4).
 
     forcing may be None, a Constant or Sine spec, a callable f(t), or an
-    array of samples on the grid; samples enter at each step's midpoint as
-    the cubic through the four nearest of them (model._hold of the moment
-    2^-j), so smooth samples keep the O(dt^4) too.  The system is linear,
-    so one RK4 step is the affine map z <- P z + q0 f_i + qm f_{i+1/2} +
-    q1 f_{i+1}, with P the degree-4 Taylor polynomial of A*dt.  The four
-    stages run once, on the identity (giving P) and on unit forcing at the
-    start, middle and end of a step (giving q0, qm, q1); _scan, the
-    drive-only case of the forced scan's block kernel, solves the recurrence.
+    array of samples on the grid.  The system is linear, so one RK4 step is
+    the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P the
+    degree-4 Taylor polynomial of A*dt.  The four stages run once, on the
+    identity (giving P) and on unit forcing at the start, middle and end of
+    a step (giving q0, qm, q1); _scan solves the recurrence.  Callables and
+    specs give it the drives; samples, and None as zeros, the moments that
+    read each step's cubic hold (the cubic through the four nearest
+    samples) at tau = 0, 1/2 and 1, so smooth samples keep the O(dt^4) too.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period).
@@ -87,7 +76,7 @@ def integrate(
             "(5% of the shortest system time scale)"
         )
     weight = history_weight(params.kernel, history)
-    f_nodes, f_mid = _forcing_arrays(forcing, t, dt)
+    f_nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
 
     m, c, k, mu = params.m, params.c, params.k, params.mu
 
@@ -104,25 +93,27 @@ def integrate(
     k3 = rhs(z + 0.5 * dt * k2, fm)
     k4 = rhs(z + dt * k3, f1)
     step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    z = np.empty((len(t), 3))
-    z[0] = state.x0, state.v0, weight.value
-    z[1:] = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
-    xs, vs, ys = _scan(step[:, :3], z).T
+    z0 = (state.x0, state.v0, weight.value)
+    if callable(forcing) or isinstance(forcing, (Constant, Sine)):
+        f_mid = _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
+        drives = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
+        xs, vs, ys = _scan(step[:, :3], z0, drives).T
+    else:
+        moments = step[:, 3:] @ [[1, 0, 0, 0], [1, 0.5, 0.25, 0.125], [1, 1, 1, 1]]
+        xs, vs, ys = _scan(step[:, :3], z0, f_nodes, moments).T
     return Trajectory(dt=dt, x=xs, xdot=vs, weight=weight, y=ys)
 
 
 def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.ndarray:
     """integral_0^{t_n} mu*exp(-mu*(t_n-s))*values(s) ds for all n, each step
     the W (rate mu*dt, u = (s-t_n)/dt in [-1, 0]) of the cubic hold of values:
-    the hold's tau is u + 1, so model._hold's moment j is the W of
-    (u + 1)^j; the scan adds the decay e^(-mu*dt).  The moments come from
-    history's polynomial rule at the raw rate, which gives exactly 0 where
-    mu*dt underflows and a kernel would reject it."""
+    the hold's tau is u + 1, so moment j is the W of (u + 1)^j, and _scan
+    adds the decay e^(-mu*dt).  The moments come from history's polynomial
+    rule at the raw rate, which gives exactly 0 where mu*dt underflows and a
+    kernel would reject it."""
     binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
     moments = [_weight_polynomial(b, mu * dt, 1.0) for b in binomials]
-    acc = np.zeros((len(values), 1))
-    acc[1:, 0] = _hold(values, moments)
-    return _scan(np.array([[math.exp(-mu * dt)]]), acc)[:, 0]
+    return _scan([[math.exp(-mu * dt)]], [0.0], values, [moments])[:, 0]
 
 
 def convolution_check(trajectory: Trajectory) -> float:

@@ -37,6 +37,7 @@ from .model import (
     OscillatorParams,
     Sine,
     _HOLD_INVERSE,
+    _check_finite,
     _extend,
     _shape_eval,
 )
@@ -72,8 +73,6 @@ class Trajectory:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not isinstance(self.weight, HistoryWeight):
             raise TypeError(f"weight must be a HistoryWeight, got {self.weight!r}")
-        if not math.isfinite(self.weight.value):
-            raise ValueError(f"non-finite history weight {self.weight.value}")
         columns = {"x": self.x, "xdot": self.xdot}
         if self.y is not None:
             columns["y"] = self.y
@@ -126,8 +125,9 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     The endpoint is honored exactly; the step is nudged to t_end/n, which
     differs from the requested dt by at most half a step over the whole span.
     """
-    if not (math.isfinite(dt) and dt > 0):
+    if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    t_end, dt = _check_finite("t_end", t_end), _check_finite("dt", dt)
     if t_end <= 0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
     steps = t_end / dt
@@ -332,7 +332,7 @@ def _operators(p: np.ndarray, steps: int, taps=None) -> list[np.ndarray]:
 def _blocks(ops: list[np.ndarray], z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """z[i] <- phi @ z[i-1] + (drive of step i) for i >= 1, _BLOCK steps at a
     time, with ops from _operators and z of 1 + nb*_BLOCK rows of d, z[0]
-    the initial state.
+    the initial state; _scan lays out both, and only it calls in here.
 
     u holds the inputs: a 2-d u (it may be z[1:]) gives step i the drive
     u[i - 1]; a 1-d u, at least (nb + 1)*_BLOCK long, gives step i the
@@ -371,16 +371,25 @@ def _blocks(ops: list[np.ndarray], z: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _scan(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z_i <- p @ z_{i-1} + z_i down the rows, into a new (n, d) array.
-
-    The drive-only case of _blocks, on a copy of z padded to whole blocks.
+def _scan(p: np.ndarray, z0, u: np.ndarray, moments=None) -> np.ndarray:
+    """States z_i = p @ z_{i-1} + (drive of step i) from z0, as an (n, d)
+    array: the one entry to _operators and _blocks.  The n - 1 rows of u
+    are the drives; or, with moments (d x 4: what d functionals give for
+    tau^0..tau^3), u holds n samples, read through the cubic hold by the
+    taps moments @ _HOLD_INVERSE, formed in long double like p's powers.
     """
-    nb = -(-(len(z) - 1) // _BLOCK)
-    out = np.zeros((1 + nb * _BLOCK, z.shape[1]))
-    out[: len(z)] = z
-    ops = _operators(np.asarray(p, dtype=np.longdouble), len(z) - 1)
-    return _blocks(ops, out, out[1:])[: len(z)]
+    n = len(u) + (moments is None)
+    nb = -(-(n - 1) // _BLOCK)
+    z = np.empty((1 + nb * _BLOCK, len(p)))
+    z[0], taps = z0, None
+    if moments is None:
+        z[1:n], z[n:] = u, 0
+        u = z[1:]
+    else:
+        # _HOLD_INVERSE holds sixths, which 6x gives back as exact integers.
+        taps = np.asarray(moments, np.longdouble) @ (_HOLD_INVERSE * 6).astype(np.longdouble) / 6
+        u = _extend(u, np.zeros((nb + 1) * _BLOCK))
+    return _blocks(_operators(np.asarray(p, dtype=np.longdouble), n - 1, taps), z, u)[:n]
 
 
 # 1/j! for j = 0..19, as the (5, 4) coefficients of _expm's Paterson-
@@ -443,24 +452,17 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0) -> np.ndarray:
 
     y(0) = W holds the whole history, so z0 = (x0, v0, W) is the full
     initial state; from rest the columns are h*f and hdot*f.  Step i adds
-    g_i = Gamma c_i, c_i the tau^0..tau^3 coefficients of the cubic through
-    f at steps i-2..i+1 (model's cubic hold, end steps by _extend), so
-    z_i = P z_{i-1} + g_i is exact for cubic f and O(dt^4) for smooth f
-    (_step_map).  _blocks solves the recurrence; P stays in long double
-    until its powers are rounded into the block operators.
+    g_i = Gamma c_i, c_i the tau^0..tau^3 coefficients of the cubic hold on
+    step i, so z_i = P z_{i-1} + g_i is exact for cubic f and O(dt^4) for
+    smooth f (_step_map): _scan with the moments Gamma.
     """
-    n, nb = len(f), -(-(len(f) - 1) // _BLOCK)
     # An overflow in P, Gamma or the scan leaves a NaN or inf in the last row.
     with np.errstate(over="ignore", invalid="ignore"):
         p, gamma = _step_map(params, dt)
-        # _HOLD_INVERSE holds sixths, which 6x gives back as exact integers.
-        ops = _operators(p, n - 1, gamma @ (_HOLD_INVERSE * 6).astype(np.longdouble) / 6)
-        z = np.empty((1 + nb * _BLOCK, 3))
-        z[0] = z0
-        _blocks(ops, z, _extend(f, np.zeros((nb + 1) * _BLOCK)))
-    if not np.isfinite(z[n - 1]).all():
+        z = _scan(p, z0, f, gamma)
+    if not np.isfinite(z[-1]).all():
         raise StepTooLarge(f"the step map or the scan leaves float64's range at dt = {dt:g}")
-    return z[:n]
+    return z
 
 
 def forced_response(

@@ -285,6 +285,28 @@ def test_overflowing_cubic_exits_3(tmp_path, capsys):
     assert "DegenerateSpectrum" in capsys.readouterr().err
 
 
+def test_integer_past_float64_range_exits_2(tmp_path, capsys):
+    # a 401-digit integer parses as JSON but has no float64 value
+    doc = {"params": {"m": 1, "c": 1, "k": 1, "mu": 10**400}}
+    assert cli.main(["eigen", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "config error: params.mu" in capsys.readouterr().err
+
+
+def test_sine_history_at_huge_rate_exits_0(tmp_path):
+    # mu*mu overflowed in the Sine weight, which gave W = NaN and a scan
+    # that raised StepTooLarge; W is sin(phase), psi(0) in the CSV
+    doc = {
+        "params": {"m": 1.0, "c": 0.5, "k": 1.0, "mu": 1e155},
+        "history": {"type": "sine", "a": 1.0, "amplitude": 1.0, "omega": 2.0, "phase": 0.5},
+        "forcing": {"type": "constant", "value": 0.0},
+        "grid": {"t_end": 1e-150, "dt": 1e-152},
+    }
+    out = tmp_path / "r.csv"
+    assert cli.main(["respond", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    assert data.shape == (101, 4) and data[0, 3] == pytest.approx(math.sin(0.5), rel=1e-15)
+
+
 def test_forced_respond_on_double_root_exits_0(tmp_path):
     # forced trajectories need no residues, so the exact double root of
     # (s+1)^2 (s+2) that eigen rejects still gives a trajectory

@@ -11,6 +11,7 @@ from expdamp import (
     Constant,
     ExponentialKernel,
     HistoryProfile,
+    HistoryWeight,
     Polynomial,
     Samples,
     Sine,
@@ -109,6 +110,62 @@ def test_polynomial_weight_stable_for_small_mu_a(degree):
                 prof = HistoryProfile(a=a, shape=Polynomial(coeffs))
                 got = history_weight(ExponentialKernel(mu=float(mu)), prof).value
                 assert abs(got - want) <= 1e-12 * abs(want), (mu, a, coeffs)
+
+
+@pytest.mark.parametrize(
+    "mu, omega, want",
+    [
+        # mu*mu overflows from mu near 1.34e154; W tends to sin(phase)
+        (1e155, 2.0, math.sin(0.5)),
+        # hypot(mu, omega) overflows too; W = (sin(phase) - cos(phase)) / 2
+        (1.5e308, 1.5e308, (math.sin(0.5) - math.cos(0.5)) / 2),
+    ],
+)
+def test_sine_weight_at_huge_rates(mu, omega, want):
+    prof = HistoryProfile(a=1.0, shape=Sine(1.0, omega, 0.5))
+    got = history_weight(ExponentialKernel(mu), prof).value
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "coeffs, a, mu, want",
+    [
+        # top! a^(top+1) overflowed to inf (NaN W), or top! itself could not
+        # become a float (OverflowError); the fourth case is the upward
+        # branch, whose (-a)^n overflowed.
+        ((1.0,) * 161, 2.0, 1.0, 1.6550252937418149e45),
+        ((1.0,) * 121, 30.0, 1.0, 5.343899678325609e163),
+        ((1.0,) * 171, 3.0, 1.0, 8.5883290800509418e77),
+        ((1.0,) * 79, 1e4, 1.0, 1.1180959098117691e115),
+        # e^-x underflows at x = 1000 though no J_n does: the constant
+        # history v = 1 (W = 1 - e^-1000) and unit coefficients, downward
+        ((1.0,) + (0.0,) * 1000, 1.0, 1000.0, 1.0),
+        ((1.0,) * 1001, 1.0, 1000.0, 0.99900199402388072),
+        # upward, x = 1020: a^999 e^-x is near e^77 though e^-x underflows
+        ((0.0,) * 999 + (1.0,), 3.0, 340.0, -3.3540735577265599e35),
+        # J_1 near 2.6e399 overflows, mu J_1 does not
+        ((1.0, 1.0), 1e200, 1e-200, -2.6424111765711534e199),
+    ],
+)
+def test_polynomial_weight_with_terms_past_float64(coeffs, a, mu, want):
+    # Values from 50- to 60-digit mpmath (gammainc).
+    prof = HistoryProfile(a=a, shape=Polynomial(coeffs))
+    got = history_weight(ExponentialKernel(mu), prof).value
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_history_weight_must_be_finite():
+    assert HistoryWeight(3, 2.0).value == 3.0
+    for w in (math.nan, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="history weight W must be finite"):
+            HistoryWeight(w, 2.0)
+
+
+def test_overflowing_weight_raises_value_error():
+    # mu c_2 J_2 is near 2e310 here, past float64's range
+    prof = HistoryProfile(a=1e8, shape=Polynomial((0.0, 0.0, 1e300)))
+    with pytest.raises(ValueError, match="history weight"):
+        history_weight(ExponentialKernel(1e-5), prof)
 
 
 def test_samples_weight_is_trapezoid_on_own_grid():

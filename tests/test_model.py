@@ -18,7 +18,7 @@ from expdamp import (
     history_sup_norm,
     kernel_eval,
 )
-from expdamp.model import _hold
+from expdamp.response import _scan
 
 
 def test_params_accept_valid():
@@ -164,6 +164,24 @@ def test_invalid_shapes_rejected(make, error, named):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: OscillatorParams(10**400, 1, 1, 1), "m must be finite"),
+        (lambda: ExponentialKernel(-(10**400)), "mu must be finite"),
+        (lambda: InitialState(0, 10**400), "v0 must be finite"),
+        (lambda: HistoryProfile(10**400, Constant(1)), "a must be finite"),
+        (lambda: Polynomial((1, 10**400)), "coefficient must be finite"),
+        (lambda: Samples((0, 10**400)), "sample must be finite"),
+    ],
+    ids=["params", "kernel", "state", "duration", "polynomial", "samples"],
+)
+def test_integers_past_float64_range_rejected(make, named):
+    # float() of such an int raises OverflowError; validation names the field
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
 def test_history_profile_grid():
     prof = HistoryProfile(a=1.0, shape=Samples(values=(0.0, 0.5, 1.0, 0.5, 0.0)))
     g = prof.grid()
@@ -234,11 +252,13 @@ def test_sup_norm_samples():
 
 @pytest.mark.parametrize("size, degree", [(2, 1), (3, 2), (4, 3), (5, 3), (64, 3)])
 def test_hold_reads_low_degree_samples_exactly(size, degree):
-    # The moment [1, x, x^2, x^3] evaluates each step's cubic at tau = x: the
+    # The moment [1, x, x^2, x^3] evaluates each step's cubic at tau = x (a
+    # scan with a zero step map gives each step's drive alone): the
     # nodes at x = 0 and 1, and at x = 1/2 the polynomial itself, end steps
     # included, since the end nodes lie on the polynomial through the samples.
     poly = np.polynomial.Polynomial(np.random.default_rng(size).normal(size=degree + 1))
     x = np.array([0.0, 0.5, 1.0])
-    out = np.array([_hold(poly(np.arange(size)), xi ** np.arange(4)) for xi in x])
+    f = poly(np.arange(size))
+    out = np.array([_scan(np.zeros((1, 1)), [0.0], f, [xi ** np.arange(4)])[1:, 0] for xi in x])
     want = poly(np.arange(size - 1) + x[:, None])
     assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))

@@ -22,11 +22,8 @@ from expdamp import (
     time_grid,
 )
 from expdamp import oracle
-from expdamp.oracle import (
-    _forcing_arrays,
-    _kernel_cubic_convolution,
-    _resolution_limit,
-)
+from expdamp.model import _extend
+from expdamp.oracle import _kernel_cubic_convolution, _resolution_limit
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)
@@ -372,7 +369,13 @@ def test_step_map_scan_matches_long_double(params, history, forcing, t_end, dt):
     traj = integrate(params, REF_STATE, history, forcing, t_end, dt)
     t = time_grid(t_end, dt)
     step = float(t[1])
-    f_nodes, f_mid = _forcing_arrays(forcing, t, step)
+    if callable(forcing):
+        f_nodes = np.array([forcing(ti) for ti in t])
+        f_mid = np.array([forcing(ti) for ti in t[:-1] + step / 2])
+    else:
+        # each step's cubic hold at its midpoint: [-1, 9, 9, -1]/16 of its nodes
+        f_nodes = np.zeros(len(t)) if forcing is None else forcing
+        f_mid = np.convolve(_extend(f_nodes, np.empty(len(t) + 2)), [-1, 9, 9, -1], "valid") / 16
     w = 0.0 if history is None else history_weight(params.kernel, history).value
     ref = _long_double_step_map(params, REF_STATE, w, f_nodes, f_mid, step)
     for got, want in zip((traj.x, traj.xdot, traj.y), ref):

@@ -86,6 +86,11 @@ def test_time_grid_validation():
         time_grid(-1.0, 0.1)
     with pytest.raises(ValueError, match=r"t_end = 1e\+300, dt = 1e-300"):
         time_grid(1e300, 1e-300)
+    # integers past float64's range are rejected by name, not by OverflowError
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        time_grid(10**400, 1.0)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        time_grid(1.0, 10**400)
 
 
 @given(
