@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["DegenerateSpectrum", "ResonantKernel", "NotOscillatory", "StepTooLarge"]
+
 
 class DegenerateSpectrum(ValueError):
     """The characteristic cubic has (nearly) repeated roots; the

@@ -60,8 +60,16 @@ def _weight_sine(shape: Sine, mu: float, a: float) -> float:
     cm, cw = math.ldexp(mu, -e), math.ldexp(w, -e)
     r = math.hypot(cm, cw)
     cm, cw = cm / r, cw / r
+    # The lower end's phase may leave float64 only where e^(-mu a) = 0
+    # drops that end.
     upper = cm * math.sin(phi) - cw * math.cos(phi)
-    lower = math.exp(-mu * a) * (cm * math.sin(phi - w * a) - cw * math.cos(phi - w * a))
+    decay, end = math.exp(-mu * a), phi - w * a
+    if math.isfinite(end):
+        lower = decay * (cm * math.sin(end) - cw * math.cos(end))
+    elif decay:
+        raise ValueError(f"Sine history phase - omega * a = {end!r} leaves float64's range")
+    else:
+        lower = 0.0
     return shape.amplitude * cm * (upper - lower)
 
 

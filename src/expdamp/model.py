@@ -198,29 +198,6 @@ def _shape_eval(shape: Constant | Sine | Polynomial, t: np.ndarray):
     return np.polynomial.polynomial.polyval(t, shape.coeffs)
 
 
-# The cubic hold: step i of a sampled signal, from t_i to t_i + dt, reads the
-# cubic through its samples at tau = (t - t_i)/dt = -1..2; the inverse of the
-# Vandermonde matrix on those nodes, in exact sixths, maps the four samples
-# (columns) to its tau^0..tau^3 coefficients (rows).
-_HOLD_INVERSE = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6
-
-
-def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:n + 2] = the n samples f with one node past each end, so that step
-    i of the cubic hold reads its four nodes at out[i:i + 4]; returns out.
-
-    Each end node lies on the polynomial through the d + 1 = min(4, n)
-    nearest samples: the weights (-1)^j C(d+1, j+1) zero the (d+1)-th
-    difference.  So the hold is exact for cubic f, the end steps included.
-    """
-    n, d = len(f), min(3, len(f) - 1)
-    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
-    out[0] = np.dot(ends, f[: d + 1])
-    out[1 : n + 1] = f
-    out[n + 1] = np.dot(ends, f[: -d - 2 : -1])
-    return out
-
-
 def history_eval(profile: HistoryProfile, t):
     """Evaluate the history velocity v(t) for t in [-a, 0] (scalar or array)."""
     t = np.asarray(t, dtype=float)

@@ -38,10 +38,15 @@ def _resolution_limit(params: OscillatorParams) -> float:
     # Step guard: resolve both the kernel time scale and the fastest
     # oscillation.  Real roots lie in [-mu, 0), so max|root| binds below
     # 1/mu only as a complex pair's.  Companion eigenvalues only: the
-    # oracle stays independent of residues.
+    # oracle stays independent of residues.  Where the monic cubic that
+    # np.roots forms, or its roots, leave float64, no step resolves it.
     m, c, k, mu = params.m, params.c, params.k, params.mu
-    roots = np.roots([m, m * mu, k + c * mu, k * mu])
-    return 0.05 * min(1.0 / mu, 2.0 * math.pi / np.abs(roots).max())
+    cubic = np.array([m, m * mu, k + c * mu, k * mu])
+    if np.isfinite(cubic[1:] / m).all():
+        roots = np.roots(cubic)
+        if np.isfinite(roots).all():
+            return 0.05 * min(1.0 / mu, 2.0 * math.pi / np.abs(roots).max())
+    raise StepTooLarge("the resolution guard leaves float64's range: no step resolves the system")
 
 
 def integrate(
@@ -65,11 +70,15 @@ def integrate(
     samples) at tau = 0, 1/2 and 1, so smooth samples keep the O(dt^4) too.
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
-    scale (kernel decay or oscillation period).
+    scale (kernel decay or oscillation period), or when the guard, the
+    step map or the scan leaves float64's range.
     """
     t = time_grid(t_end, dt)
     dt = float(t[1])
-    limit = _resolution_limit(params)
+    # An overflow in the guard, the stage map or the scan shows as a
+    # non-finite result, and raises StepTooLarge.
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = _resolution_limit(params)
     if dt > limit * (1.0 + 1e-12):
         raise StepTooLarge(
             f"dt = {dt:g} exceeds the resolution guard {limit:g} "
@@ -77,6 +86,9 @@ def integrate(
         )
     weight = history_weight(params.kernel, history)
     f_nodes = _forcing_on_grid(np.zeros(len(t)) if forcing is None else forcing, t)
+    f_mid = None
+    if callable(forcing) or isinstance(forcing, (Constant, Sine)):
+        f_mid = _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
 
     m, c, k, mu = params.m, params.c, params.k, params.mu
 
@@ -84,23 +96,26 @@ def integrate(
         x, v, y = z
         return np.array([v, (f - c * y - k * x) / m, mu * (v - y)])
 
-    # Columns 0-2 start at the identity, unforced; columns 3-5 start at
-    # zero with unit forcing at the start, the middle or the end of the step.
-    z = np.hstack([np.eye(3), np.zeros((3, 3))])
-    f0, fm, f1 = np.eye(6)[3:]
-    k1 = rhs(z, f0)
-    k2 = rhs(z + 0.5 * dt * k1, fm)
-    k3 = rhs(z + 0.5 * dt * k2, fm)
-    k4 = rhs(z + dt * k3, f1)
-    step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
     z0 = (state.x0, state.v0, weight.value)
-    if callable(forcing) or isinstance(forcing, (Constant, Sine)):
-        f_mid = _forcing_on_grid(forcing, t[:-1] + 0.5 * dt)
-        drives = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
-        xs, vs, ys = _scan(step[:, :3], z0, drives).T
-    else:
-        moments = step[:, 3:] @ [[1, 0, 0, 0], [1, 0.5, 0.25, 0.125], [1, 1, 1, 1]]
-        xs, vs, ys = _scan(step[:, :3], z0, f_nodes, moments).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Columns 0-2 start at the identity, unforced; columns 3-5 start at
+        # zero with unit forcing at the start, the middle or the end of the step.
+        z = np.hstack([np.eye(3), np.zeros((3, 3))])
+        f0, fm, f1 = np.eye(6)[3:]
+        k1 = rhs(z, f0)
+        k2 = rhs(z + 0.5 * dt * k1, fm)
+        k3 = rhs(z + 0.5 * dt * k2, fm)
+        k4 = rhs(z + dt * k3, f1)
+        step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if f_mid is not None:
+            drives = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
+            zs = _scan(step[:, :3], z0, drives)
+        else:
+            moments = step[:, 3:] @ [[1, 0, 0, 0], [1, 0.5, 0.25, 0.125], [1, 1, 1, 1]]
+            zs = _scan(step[:, :3], z0, f_nodes, moments)
+    if not (np.isfinite(step).all() and np.isfinite(zs[-1]).all()):
+        raise StepTooLarge(f"the RK4 step map or its scan leaves float64's range at dt = {dt:g}")
+    xs, vs, ys = zs.T
     return Trajectory(dt=dt, x=xs, xdot=vs, weight=weight, y=ys)
 
 

@@ -36,9 +36,7 @@ from .model import (
     InitialState,
     OscillatorParams,
     Sine,
-    _HOLD_INVERSE,
     _check_finite,
-    _extend,
     _shape_eval,
 )
 
@@ -371,12 +369,35 @@ def _blocks(ops: list[np.ndarray], z: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z
 
 
+# The cubic hold: step i of a sampled signal, from t_i to t_i + dt, reads the
+# cubic through its samples at tau = (t - t_i)/dt = -1..2; six times the
+# inverse of the Vandermonde matrix on those nodes, an integer matrix, maps
+# the four samples (columns) to six times its tau^0..tau^3 coefficients (rows).
+_HOLD_SIXTHS = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]])
+
+
+def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:n + 2] = the n samples f with one node past each end, so that step
+    i of the cubic hold reads its four nodes at out[i:i + 4]; returns out.
+
+    Each end node lies on the polynomial through the d + 1 = min(4, n)
+    nearest samples: the weights (-1)^j C(d+1, j+1) zero the (d+1)-th
+    difference.  So the hold is exact for cubic f, the end steps included.
+    """
+    n, d = len(f), min(3, len(f) - 1)
+    ends = [(-1) ** j * math.comb(d + 1, j + 1) for j in range(d + 1)]
+    out[0] = np.dot(ends, f[: d + 1])
+    out[1 : n + 1] = f
+    out[n + 1] = np.dot(ends, f[: -d - 2 : -1])
+    return out
+
+
 def _scan(p: np.ndarray, z0, u: np.ndarray, moments=None) -> np.ndarray:
     """States z_i = p @ z_{i-1} + (drive of step i) from z0, as an (n, d)
     array: the one entry to _operators and _blocks.  The n - 1 rows of u
     are the drives; or, with moments (d x 4: what d functionals give for
     tau^0..tau^3), u holds n samples, read through the cubic hold by the
-    taps moments @ _HOLD_INVERSE, formed in long double like p's powers.
+    taps moments @ _HOLD_SIXTHS / 6, formed in long double like p's powers.
     """
     n = len(u) + (moments is None)
     nb = -(-(n - 1) // _BLOCK)
@@ -386,8 +407,7 @@ def _scan(p: np.ndarray, z0, u: np.ndarray, moments=None) -> np.ndarray:
         z[1:n], z[n:] = u, 0
         u = z[1:]
     else:
-        # _HOLD_INVERSE holds sixths, which 6x gives back as exact integers.
-        taps = np.asarray(moments, np.longdouble) @ (_HOLD_INVERSE * 6).astype(np.longdouble) / 6
+        taps = np.asarray(moments, np.longdouble) @ _HOLD_SIXTHS / 6
         u = _extend(u, np.zeros((nb + 1) * _BLOCK))
     return _blocks(_operators(np.asarray(p, dtype=np.longdouble), n - 1, taps), z, u)[:n]
 
@@ -414,6 +434,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for part in parts[3::-1]:
         out = out @ x4 + part
     for _ in range(s):
+        if not np.isfinite(out).all():
+            break  # a non-finite entry stays so in every later square
         out = out @ out
     return out
 

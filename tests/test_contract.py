@@ -70,6 +70,33 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+# The public names of the package, one copy kept here as the test's oracle.
+PUBLIC_NAMES = {
+    "BoundReport", "CharacteristicPolynomial", "Constant", "DegenerateSpectrum",
+    "EigenSolution", "ExponentialKernel", "HistoryProfile", "HistoryWeight",
+    "InitialState", "NotOscillatory", "OscillatorParams", "Polynomial",
+    "ResonantKernel", "ResponseTerms", "Samples", "Sine", "StepTooLarge",
+    "Trajectory", "characteristic_poly", "convolution_check", "decay_bounds",
+    "exp_convolution", "forced_response", "history_eval", "history_sup_norm",
+    "history_weight", "impulse_response", "impulse_response_derivative",
+    "initialization_response", "integrate", "kernel_eval", "response_terms",
+    "solve_eigen", "split_history_term", "time_grid", "verify_decay",
+}
+
+
+def test_package_exports_its_modules_public_names():
+    # expdamp re-exports each module's __all__: every name once, none
+    # private, each the very object its module defines.
+    names = expdamp.__all__
+    assert len(names) == len(set(names)) == 36 and set(names) == PUBLIC_NAMES
+    assert not [n for n in names if n.startswith("_")]
+    modules = ("errors", "model", "eigen", "history", "response", "oracle", "bounds")
+    owners = {n: getattr(expdamp, m) for m in modules for n in getattr(expdamp, m).__all__}
+    assert owners.keys() == set(names)
+    for name, module in owners.items():
+        assert getattr(expdamp, name) is getattr(module, name), name
+
+
 def _acceptance_draw(seed):
     # One draw from the acceptance criteria's parameter distribution.
     rng = np.random.default_rng(seed)
@@ -465,15 +492,18 @@ def test_integrate_invariant_under_time_units(params, dt, t_end, forcing):
             assert np.max(np.abs(xdot_j - xdot)) <= 1e-14 * np.max(np.abs(xdot)), (solve, j)
 
 
-def test_seeded_extreme_scales_give_a_result_or_a_typed_error():
-    # Outcome half of the contract over 60 decades of every parameter, with
-    # c = 0 in a tenth of the draws: solve_eigen returns or raises
-    # DegenerateSpectrum, and the zero-drive forced scan returns finite
-    # columns or raises StepTooLarge.  No other exception, no RuntimeWarning.
+@pytest.mark.parametrize("decades", [30, 300])
+def test_seeded_extreme_scales_give_a_result_or_a_typed_error(decades):
+    # Outcome half of the contract over 2*decades decades of every
+    # parameter, with c = 0 in a tenth of the draws: solve_eigen returns or
+    # raises DegenerateSpectrum, and the zero-drive forced scan and the RK4
+    # oracle return finite columns or raise StepTooLarge.  No other
+    # exception, no RuntimeWarning.
     rng = np.random.default_rng(1)
     kinds = collections.Counter()
+    history = HistoryProfile(1.0, Constant(1.0))
     for _ in range(3000):
-        m, c, k, mu = 10 ** rng.uniform(-30, 30, 4)
+        m, c, k, mu = 10 ** rng.uniform(-decades, decades, 4)
         if rng.random() < 0.1:
             c = 0.0
         params = OscillatorParams(m, c, k, mu)
@@ -484,15 +514,13 @@ def test_seeded_extreme_scales_give_a_result_or_a_typed_error():
                 kinds["eigen ok"] += 1
             except DegenerateSpectrum:
                 kinds[DegenerateSpectrum] += 1
-            try:
-                traj = forced_response(
-                    params, InitialState(1.0, 0.3), HistoryProfile(1.0, Constant(1.0)),
-                    Constant(0.0), 1.0, 0.01,
-                )
-            except StepTooLarge:
-                kinds[StepTooLarge] += 1
-                continue
-        assert all(np.isfinite(col).all() for col in (traj.x, traj.xdot, traj.y)), params
-        kinds["scan ok"] += 1
+            for solve, forcing in ((forced_response, Constant(0.0)), (integrate, None)):
+                try:
+                    traj = solve(params, InitialState(1.0, 0.3), history, forcing, 1.0, 0.01)
+                except StepTooLarge:
+                    kinds[solve.__name__, StepTooLarge] += 1
+                    continue
+                assert all(np.isfinite(col).all() for col in (traj.x, traj.xdot, traj.y)), params
+                kinds[solve.__name__, "ok"] += 1
     # each outcome is reached
-    assert len(kinds) == 4, kinds
+    assert len(kinds) == 6, kinds

@@ -113,16 +113,25 @@ def test_polynomial_weight_stable_for_small_mu_a(degree):
 
 
 @pytest.mark.parametrize(
-    "mu, omega, want",
+    "mu, omega, a, want",
     [
         # mu*mu overflows from mu near 1.34e154; W tends to sin(phase)
-        (1e155, 2.0, math.sin(0.5)),
+        (1e155, 2.0, 1.0, math.sin(0.5)),
         # hypot(mu, omega) overflows too; W = (sin(phase) - cos(phase)) / 2
-        (1.5e308, 1.5e308, (math.sin(0.5) - math.cos(0.5)) / 2),
+        (1.5e308, 1.5e308, 1.0, (math.sin(0.5) - math.cos(0.5)) / 2),
+        # omega*a overflows, but e^(-mu a) = 0 drops the lower end:
+        # W = mu (mu sin(phase) - omega cos(phase)) / (mu^2 + omega^2)
+        (1.0, 1e300, 1e10, -1e-300 * math.cos(0.5)),
+        # omega*a overflows while e^(-mu a) = e^-1 keeps the lower end
+        (1e-300, 1e10, 1e300, ValueError),
     ],
 )
-def test_sine_weight_at_huge_rates(mu, omega, want):
-    prof = HistoryProfile(a=1.0, shape=Sine(1.0, omega, 0.5))
+def test_sine_weight_at_huge_rates(mu, omega, a, want):
+    prof = HistoryProfile(a=a, shape=Sine(1.0, omega, 0.5))
+    if want is ValueError:
+        with pytest.raises(ValueError, match=r"omega \* a"):
+            history_weight(ExponentialKernel(mu), prof)
+        return
     got = history_weight(ExponentialKernel(mu), prof).value
     assert got == pytest.approx(want, rel=1e-15)
 

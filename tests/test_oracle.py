@@ -22,8 +22,8 @@ from expdamp import (
     time_grid,
 )
 from expdamp import oracle
-from expdamp.model import _extend
 from expdamp.oracle import _kernel_cubic_convolution, _resolution_limit
+from expdamp.response import _extend
 
 FACTORED = OscillatorParams(m=1.0, c=0.0, k=1.0, mu=2.0)
 REFERENCE = OscillatorParams(m=1.0, c=0.5, k=4.0, mu=2.0)

@@ -36,10 +36,11 @@ from expdamp import (
     solve_eigen,
     time_grid,
 )
-from expdamp.model import _HOLD_INVERSE, _extend
 from expdamp.response import (
     _BLOCK,
+    _HOLD_SIXTHS,
     _MNK,
+    _extend,
     _forced_convolution,
     _forcing_on_grid,
     _step_map,
@@ -422,7 +423,7 @@ def test_forced_convolution_matches_long_double_recursion(params):
     f = np.cos(1.3 * np.arange(n) * dt) + np.random.default_rng(5).uniform(-0.5, 0.5, n)
     p, gamma = _step_map(params, dt)
     sixths = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]])
-    assert np.array_equal(sixths / 6, _HOLD_INVERSE)
+    assert np.array_equal(sixths, _HOLD_SIXTHS)
     taps = gamma @ sixths.astype(np.longdouble) / 6
     g = np.lib.stride_tricks.sliding_window_view(_extend(f, np.empty(n + 2)), 4) @ taps.T
     want = np.empty((n, 3), dtype=np.longdouble)
