@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotOscillatory
 from .eigen import EigenSolution, solve_eigen
 from .history import history_weight
-from .model import HistoryProfile, InitialState, OscillatorParams, history_sup_norm
+from .model import HistoryProfile, InitialState, OscillatorParams, _times, history_sup_norm
 from .response import initialization_response, time_grid
 
 __all__ = ["BoundReport", "split_history_term", "decay_bounds", "verify_decay"]
@@ -73,11 +73,9 @@ def split_history_term(
     history: HistoryProfile | None,
     t,
 ):
-    """(I1, I2): vibratory and dissipative parts of -c*(h*psi)(t)."""
+    """(I1, I2): vibratory and dissipative parts of -c*(h*psi)(t), finite t >= 0."""
     _require_oscillatory(eig)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("the history term is defined for t >= 0")
+    t = _times(t, "the history term")
     scalar = t.ndim == 0
     w = history_weight(params.kernel, history).value
     if params.c == 0.0 or w == 0.0:
@@ -97,8 +95,7 @@ def split_history_term(
 
 def _decay_factor(rate: float, mu: float, t):
     """|e^{-mu t} - e^{-rate t}| / |rate - mu|, with the analytic limit
-    t*e^{-mu t} when rate and mu (nearly) coincide."""
-    t = np.asarray(t, dtype=float)
+    t*e^{-mu t} when rate and mu (nearly) coincide; t comes checked from decay_bounds."""
     if abs(rate - mu) < 1e-8 * mu:
         out = t * np.exp(-mu * t)
     else:
@@ -113,11 +110,9 @@ def decay_bounds(
     a: float,
     t,
 ):
-    """(B1, B2) envelopes for |I1|, |I2| given the history sup-norm M."""
+    """(B1, B2) envelopes for |I1|, |I2| given the history sup-norm M; finite t >= 0."""
     _require_oscillatory(eig)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("bounds are defined for t >= 0")
+    t = _times(t, "the bounds")
     if not 0 <= m_sup < math.inf:
         raise ValueError(f"history sup-norm must be finite and >= 0, got {m_sup}")
     if not 0 <= a < math.inf:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotOscillatory
-from .model import OscillatorParams
+from .model import OscillatorParams, _times
 
 __all__ = [
     "CharacteristicPolynomial",
@@ -286,18 +286,14 @@ def _real_part(z):
 
 
 def impulse_response(eig: EigenSolution, t):
-    """h(t) = sum_j R_j exp(s_j t) for t >= 0 (scalar or array); h(0) = 0."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("impulse response is causal: t must be >= 0")
+    """h(t) = sum_j R_j exp(s_j t) for finite t >= 0 (scalar or array); h(0) = 0."""
+    t = _times(t, "the impulse response")
     acc = sum(r * np.exp(s * t) for r, s in zip(eig.residues, eig.roots))
     return _real_part(acc)
 
 
 def impulse_response_derivative(eig: EigenSolution, t):
-    """hdot(t) = sum_j R_j s_j exp(s_j t) for t >= 0; hdot(0) = 1/m."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("impulse response is causal: t must be >= 0")
+    """hdot(t) = sum_j R_j s_j exp(s_j t) for finite t >= 0; hdot(0) = 1/m."""
+    t = _times(t, "the impulse response derivative")
     acc = sum(r * s * np.exp(s * t) for r, s in zip(eig.residues, eig.roots))
     return _real_part(acc)

@@ -23,6 +23,7 @@ from .model import (
     Samples,
     Sine,
     _check_finite,
+    _times,
 )
 
 __all__ = ["HistoryWeight", "history_weight"]
@@ -39,16 +40,34 @@ class HistoryWeight:
         object.__setattr__(self, "value", _check_finite("history weight W", self.value))
 
     def psi(self, t):
-        """Initialization force psi(t) = W * exp(-mu*t) for t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(t >= 0):
-            raise ValueError("psi is defined for t >= 0")
+        """Initialization force psi(t) = W * exp(-mu*t) for finite t >= 0."""
+        t = _times(t, "psi")
         out = self.value * np.exp(-self.mu * t)
         return out if out.ndim else float(out)
 
 
 def _weight_constant(v: float, mu: float, a: float) -> float:
     return v * -math.expm1(-mu * a)
+
+
+def _halves(f: float) -> tuple[float, float]:
+    # Veltkamp's split at 2^27 + 1: f = high + low, each of at most 27 bits.
+    c = 134217729.0 * f
+    high = c - (c - f)
+    return high, f - high
+
+
+def _lower_phase(phi: float, w: float, a: float) -> tuple[float, float, float]:
+    """(end, err, lo) with phi - w*a = end + err - lo exactly: w*a = hi + lo
+    by Dekker's two-product on the significands, whose split cannot overflow,
+    and phi - hi = end + err by two-sum.  OverflowError where w*a leaves float64."""
+    (fw, ew), (fa, ea) = math.frexp(w), math.frexp(a)
+    (wh, wl), (ah, al), p = _halves(fw), _halves(fa), fw * fa
+    hi = math.ldexp(p, ew + ea)
+    lo = math.ldexp(((wh * ah - p) + wh * al + wl * ah) + wl * al, ew + ea)
+    end = phi - hi
+    back = end - phi
+    return end, (phi - (end - back)) + (-hi - back), lo
 
 
 def _weight_sine(shape: Sine, mu: float, a: float) -> float:
@@ -63,11 +82,23 @@ def _weight_sine(shape: Sine, mu: float, a: float) -> float:
     # The lower end's phase may leave float64 only where e^(-mu a) = 0
     # drops that end.
     upper = cm * math.sin(phi) - cw * math.cos(phi)
-    decay, end = math.exp(-mu * a), phi - w * a
+    decay = math.exp(-mu * a)
+    try:
+        end, err, lo = _lower_phase(phi, w, a)
+    except OverflowError:  # omega * a leaves float64
+        end = math.inf
     if math.isfinite(end):
-        lower = decay * (cm * math.sin(end) - cw * math.cos(end))
+        # sin and cos of end + err - lo: libm reduces each finite angle
+        # exactly, and the angle-addition formulas turn by err, then by -lo.
+        sin, cos = math.sin(end), math.cos(end)
+        for turn in (err, -lo):
+            sin, cos = (
+                sin * math.cos(turn) + cos * math.sin(turn),
+                cos * math.cos(turn) - sin * math.sin(turn),
+            )
+        lower = decay * (cm * sin - cw * cos)
     elif decay:
-        raise ValueError(f"Sine history phase - omega * a = {end!r} leaves float64's range")
+        raise ValueError("Sine history phase - omega * a leaves float64's range")
     else:
         lower = 0.0
     return shape.amplitude * cm * (upper - lower)

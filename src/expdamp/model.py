@@ -38,6 +38,14 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _times(t, what: str) -> np.ndarray:
+    # The one domain of every function of t: NaN and both infinities fail.
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0) & (t < math.inf)).all():
+        raise ValueError(f"{what} is defined for finite t >= 0")
+    return t
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Mass, viscous coefficient, stiffness, and kernel decay rate.
@@ -180,10 +188,8 @@ class HistoryProfile:
 
 
 def kernel_eval(kernel: ExponentialKernel, t):
-    """Evaluate G(t) = mu*exp(-mu*t) for t >= 0 (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("kernel is only defined for t >= 0")
+    """Evaluate G(t) = mu*exp(-mu*t) for finite t >= 0 (scalar or array)."""
+    t = _times(t, "the kernel")
     out = kernel.mu * np.exp(-kernel.mu * t)
     return out if out.ndim else float(out)
 

@@ -38,6 +38,7 @@ from .model import (
     Sine,
     _check_finite,
     _shape_eval,
+    _times,
 )
 
 __all__ = [
@@ -136,7 +137,7 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def exp_convolution(eig: EigenSolution, rate: float, t):
-    """Closed form of integral_0^t h(t-tau) exp(-rate*tau) dtau.
+    """Closed form of integral_0^t h(t-tau) exp(-rate*tau) dtau, finite t >= 0.
 
     Equals sum_j R_j (exp(s_j t) - exp(-rate t)) / (s_j + rate).  Raises
     ResonantKernel when a contributing root lies within a relative 1e-8 of
@@ -144,9 +145,9 @@ def exp_convolution(eig: EigenSolution, rate: float, t):
     holds the same float as s_j + mu, so each quotient is 1/p'(s_j) to
     rounding; the closed-form responses call the sum without this guard.
     """
-    t = np.asarray(t, dtype=float)
-    if not (-math.inf < rate < math.inf and np.all(t >= 0)):
-        raise ValueError(f"convolution is defined for t >= 0 and a finite rate, (rate = {rate})")
+    t = _times(t, "the convolution")
+    if not -math.inf < rate < math.inf:
+        raise ValueError(f"the convolution rate must be finite, got {rate}")
     # A mode whose residue is exactly zero (the kernel mode at c = 0)
     # contributes nothing, so a pole collision there never materializes.
     for r, s in zip(eig.residues, eig.roots):
@@ -182,13 +183,11 @@ def _assemble_derivative(params, eig, state, w, t):
 
 
 def _closed_form(params, state, history, t):
-    """(eig, weight, t) of the closed form; DegenerateSpectrum when its
-    modal sums miss (x0, v0) at t = 0."""
+    """(eig, weight, t) of the closed form at finite t >= 0; DegenerateSpectrum
+    when its modal sums miss (x0, v0) at t = 0."""
     eig = solve_eigen(params)
     weight = history_weight(params.kernel, history)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("response is defined for t >= 0")
+    t = _times(t, "the response")
     # The modal sums reproduce the initial state only while the residues
     # stay well conditioned; near a double root they cancel to a few digits.
     # xdot(0) is d/dt of _assemble term by term, so unlike _assemble_derivative
@@ -216,7 +215,7 @@ def initialization_response(
     history: HistoryProfile | None,
     t,
 ):
-    """Response x(t) to initial state and history, no external force."""
+    """Response x(t) to initial state and history, no external force; finite t >= 0."""
     eig, weight, t = _closed_form(params, state, history, t)
     return _assemble(params, eig, state, weight.value, t)
 
@@ -227,7 +226,7 @@ def response_terms(
     history: HistoryProfile | None,
     t,
 ) -> ResponseTerms:
-    """The four parts of the initialization response, separately.
+    """The four parts of the initialization response at finite t >= 0.
 
     Their sum reproduces initialization_response; with c = 0 the history
     and kernel terms are exactly zero.

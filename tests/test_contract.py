@@ -421,14 +421,37 @@ TIME_ENTRIES = {
 
 
 @pytest.mark.parametrize(
-    "t", [math.nan, np.array([0.0, math.nan, 1.0])], ids=["scalar", "array"]
+    "t",
+    [math.nan, np.array([0.0, math.nan, 1.0]), math.inf, np.array([0.0, math.inf])],
+    ids=["scalar", "array", "inf", "inf-array"],
 )
 @pytest.mark.parametrize("entry", TIME_ENTRIES)
 def test_nan_time_raises_value_error(entry, t):
     # NaN fails every comparison, so a guard written as any(t < 0) lets it
-    # through to a NaN result or a DegenerateSpectrum.
+    # through to a NaN result or a DegenerateSpectrum; t = inf passed such a
+    # guard to 0 * inf (a RuntimeWarning) or to a silent 0.
     with pytest.raises(ValueError) as err:
         TIME_ENTRIES[entry](t)
+    assert type(err.value) is ValueError
+
+
+# At c = 0 the pair sits on the imaginary axis, where exp(s t) at t = inf
+# is NaN: the modal sums raised a RuntimeWarning or a DegenerateSpectrum.
+UNDAMPED = OscillatorParams(1.0, 0.0, 4.0, 2.0)
+SPECTRAL_ENTRIES = {
+    "initialization_response": lambda t: initialization_response(UNDAMPED, STATE, HISTORY, t),
+    "response_terms": lambda t: response_terms(UNDAMPED, STATE, HISTORY, t),
+    "impulse_response": lambda t: impulse_response(solve_eigen(UNDAMPED), t),
+    "impulse_response_derivative": lambda t: impulse_response_derivative(solve_eigen(UNDAMPED), t),
+    "exp_convolution": lambda t: exp_convolution(solve_eigen(UNDAMPED), 1.0, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.inf])], ids=["scalar", "array"])
+@pytest.mark.parametrize("entry", SPECTRAL_ENTRIES)
+def test_infinite_time_undamped_raises_value_error(entry, t):
+    with pytest.raises(ValueError) as err:
+        SPECTRAL_ENTRIES[entry](t)
     assert type(err.value) is ValueError
 
 

@@ -133,7 +133,25 @@ def test_sine_weight_at_huge_rates(mu, omega, a, want):
             history_weight(ExponentialKernel(mu), prof)
         return
     got = history_weight(ExponentialKernel(mu), prof).value
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "mu, omega, a, phase, want",
+    [
+        (1e-12, 1e10, 1e10, 0.5, -5.2007837889794077e-23),
+        (0.3, 123456.789, 1.7, 0.25, -1.5027181087747004e-06),
+        (1e-9, 9.87654321e12, 3.3e7, -2.0, -4.8948847395046435e-23),
+        (1e-3, 1e250, 1.0, 0.5, -9.263391061945958e-254),
+    ],
+)
+def test_sine_weight_lower_phase_exact(mu, omega, a, phase, want):
+    # e^(-mu a) keeps the lower end, and phase - omega*a rounded to float64
+    # is off by a large angle: the rounded phase read 0.77, 7.8e-12, 0.69
+    # and 0.52 relative error against mpmath (60 digits; 400 at 1e250).
+    prof = HistoryProfile(a=a, shape=Sine(1.0, omega, phase))
+    got = history_weight(ExponentialKernel(mu), prof).value
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

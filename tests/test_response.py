@@ -445,7 +445,7 @@ def _whole_grid_forcing(forcing, t):
 @pytest.mark.parametrize(
     "n", [2, 3, 4, 5, 4095, 4096, 4097, 4098, 4099, 12290]
 )
-def test_chunked_forced_path_bitwise_equal_to_whole_grid(n, monkeypatch):
+def test_one_pass_sampling_bitwise_equal_to_whole_grid(n, monkeypatch):
     # A callable is sampled in one pass over a memoryview of the grid;
     # every float of forced_response and integrate stays that of one
     # whole-grid tolist().  Specs and samples, contiguous or strided, keep
