@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOscillatory
+from .errors import DegenerateSpectrum, NotOscillatory
 from .eigen import EigenSolution, solve_eigen
 from .history import history_weight
 from .model import HistoryProfile, InitialState, OscillatorParams, _times, history_sup_norm
@@ -82,12 +82,19 @@ def split_history_term(
         zero = np.zeros_like(t)
         return (0.0, 0.0) if scalar else (zero, zero)
     mu, c = params.mu, params.c
-    down = np.exp(-mu * t)
-    conv_pair = w * (np.exp(eig.s1 * t) - down) / (eig.s1 + mu)
-    i1 = -2.0 * c * (eig.r1 * conv_pair).real
-    s3, r3 = eig.s3.real, eig.r3.real
-    # r3 = (mu + s3)/p'(s3) is exactly 0 when s3 + mu rounds to 0: no mode, not 0/0.
-    i2 = -c * r3 * w * (np.exp(s3 * t) - down) / (s3 + mu) if r3 else np.zeros_like(t)
+    # A pair whose real part rounds above 0 overflows the exponential, and
+    # a non-finite part raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        down = np.exp(-mu * t)
+        conv_pair = w * (np.exp(eig.s1 * t) - down) / (eig.s1 + mu)
+        i1 = -2.0 * c * (eig.r1 * conv_pair).real
+        s3, r3 = eig.s3.real, eig.r3.real
+        # r3 = (mu + s3)/p'(s3) is exactly 0 when s3 + mu rounds to 0: no mode, not 0/0.
+        i2 = -c * r3 * w * (np.exp(s3 * t) - down) / (s3 + mu) if r3 else np.zeros_like(t)
+    if not (np.isfinite(i1).all() and np.isfinite(i2).all()):
+        raise DegenerateSpectrum(
+            "the history term leaves float64's range; the roots are not resolved at this scale"
+        )
     if scalar:
         return float(i1), float(i2)
     return np.asarray(i1, dtype=float), np.asarray(i2, dtype=float)
@@ -182,26 +189,30 @@ def verify_decay(
     scale = _amplitude_scale(state, w, params, beta)
     atol = 1e-12 * scale
 
-    # Envelope recession: window maxima of |x| strictly decrease past 10/rho.
+    # Envelope recession: window maxima of |x| strictly decrease past 10/rho;
+    # tail recession at 30/rho.  Past float64's range the modal sums overflow
+    # to inf or NaN there, which the roots cannot resolve.
     window = 2.0 * math.pi / beta
-    maxima = []
-    for j in range(6):
-        lo = 10.0 / rho + j * window
-        grid = np.linspace(lo, lo + window, 65)
-        maxima.append(float(np.max(np.abs(
-            initialization_response(params, state, history, grid)
-        ))))
+    tail_time = 30.0 / rho
+    tail_grid = np.linspace(tail_time, tail_time + max(window, 1.0 / rho), 257)
+    with np.errstate(over="ignore", invalid="ignore"):
+        maxima = []
+        for j in range(6):
+            lo = 10.0 / rho + j * window
+            grid = np.linspace(lo, lo + window, 65)
+            maxima.append(float(np.max(np.abs(
+                initialization_response(params, state, history, grid)
+            ))))
+        tail_x = float(np.max(np.abs(
+            initialization_response(params, state, history, tail_grid)
+        )))
+    if not np.isfinite(maxima + [tail_x]).all():
+        raise DegenerateSpectrum("the modal sums leave float64's range past 10/rho")
     envelope_ok = all(
         later < earlier or later <= atol
         for earlier, later in zip(maxima, maxima[1:])
     )
 
-    # Tail recession at 30/rho.
-    tail_time = 30.0 / rho
-    tail_grid = np.linspace(tail_time, tail_time + max(window, 1.0 / rho), 257)
-    tail_x = float(np.max(np.abs(
-        initialization_response(params, state, history, tail_grid)
-    )))
     t_i1, t_i2 = split_history_term(params, eig, history, tail_grid)
     tail_i1 = float(np.max(np.abs(t_i1)))
     tail_i2 = float(np.max(np.abs(t_i2)))

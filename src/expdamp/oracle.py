@@ -61,13 +61,13 @@ def integrate(
 
     forcing may be None, a Constant or Sine spec, a callable f(t), or an
     array of samples on the grid.  The system is linear, so one RK4 step is
-    the affine map z <- P z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, with P the
-    degree-4 Taylor polynomial of A*dt.  The four stages run once, on the
-    identity (giving P) and on unit forcing at the start, middle and end of
-    a step (giving q0, qm, q1); _scan solves the recurrence.  Callables and
-    specs give it the drives; samples, and None as zeros, the moments that
-    read each step's cubic hold (the cubic through the four nearest
-    samples) at tau = 0, 1/2 and 1, so smooth samples keep the O(dt^4) too.
+    the affine map z <- z + D z + q0 f_i + qm f_{i+1/2} + q1 f_{i+1}, D the
+    increment P - I of P, the degree-4 Taylor polynomial of A*dt.  The four
+    stages run once, on the identity (their sum giving D) and on unit forcing
+    at the start, middle and end of a step (q0, qm, q1); _scan solves the
+    recurrence.  Callables and specs give it the drives; samples, and None as
+    zeros, the moments that read each step's cubic hold (the cubic through the
+    four nearest samples) at tau = 0, 1/2 and 1, so smooth ones keep O(dt^4).
 
     Raises StepTooLarge when dt exceeds 5% of the shortest system time
     scale (kernel decay or oscillation period), or when the guard, the
@@ -106,7 +106,7 @@ def integrate(
         k2 = rhs(z + 0.5 * dt * k1, fm)
         k3 = rhs(z + 0.5 * dt * k2, fm)
         k4 = rhs(z + dt * k3, f1)
-        step = z + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        step = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)  # z's increment
         if f_mid is not None:
             drives = np.stack([f_nodes[:-1], f_mid, f_nodes[1:]], axis=1) @ step[:, 3:].T
             zs = _scan(step[:, :3], z0, drives)
@@ -123,12 +123,12 @@ def _kernel_cubic_convolution(values: np.ndarray, dt: float, mu: float) -> np.nd
     """integral_0^{t_n} mu*exp(-mu*(t_n-s))*values(s) ds for all n, each step
     the W (rate mu*dt, u = (s-t_n)/dt in [-1, 0]) of the cubic hold of values:
     the hold's tau is u + 1, so moment j is the W of (u + 1)^j, and _scan
-    adds the decay e^(-mu*dt).  The moments come from history's polynomial
-    rule at the raw rate, which gives exactly 0 where mu*dt underflows and a
-    kernel would reject it."""
+    adds the decay e^(-mu*dt) through its increment expm1(-mu*dt).  The
+    moments come from history's polynomial rule at the raw rate, which gives
+    exactly 0 where mu*dt underflows and a kernel would reject it."""
     binomials = ([math.comb(j, i) for i in range(j + 1)] for j in range(4))
     moments = [_weight_polynomial(b, mu * dt, 1.0) for b in binomials]
-    return _scan([[math.exp(-mu * dt)]], [0.0], values, [moments])[:, 0]
+    return _scan([[math.expm1(-mu * dt)]], [0.0], values, [moments])[:, 0]
 
 
 def convolution_check(trajectory: Trajectory) -> float:

@@ -193,15 +193,18 @@ def _closed_form(params, state, history, t):
     # xdot(0) is d/dt of _assemble term by term, so unlike _assemble_derivative
     # it also tests hddot(0) = sum R_j s_j^2 = 0, which _validate does not; at
     # mu >> |s_j| the rounding of conv'(0)'s quotients sets which spectra raise.
+    # Past float64's range a sum overflows to inf or NaN, which fails the check.
     m, c, mu, x0, v0, w = params.m, params.c, params.mu, state.x0, state.v0, weight.value
     res, roots = np.array(eig.residues), np.array(eig.roots)
     live = res != 0
-    conv_dot0 = _real_part(np.sum(res[live] * (roots[live] + mu) / (roots[live] + mu)))
-    xdot0 = m * x0 * _real_part(np.sum(res * roots * roots))
-    xdot0 = xdot0 + m * v0 * impulse_response_derivative(eig, 0.0) + c * (mu * x0 - w) * conv_dot0
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv_dot0 = _real_part(np.sum(res[live] * (roots[live] + mu) / (roots[live] + mu)))
+        xdot0 = m * x0 * _real_part(np.sum(res * roots * roots))
+        xdot0 += m * v0 * impulse_response_derivative(eig, 0.0) + c * (mu * x0 - w) * conv_dot0
+        x_0 = _assemble(params, eig, state, w, 0.0)
     scale = max(1.0, abs(x0), abs(v0))
-    mismatch = max(abs(_assemble(params, eig, state, w, 0.0) - x0), abs(xdot0 - v0))
-    if mismatch > 1e-9 * scale:
+    mismatch = np.maximum(abs(x_0 - x0), abs(xdot0 - v0))  # NaN if either is
+    if not mismatch <= 1e-9 * scale:
         raise DegenerateSpectrum(
             f"closed form misses the initial state by {mismatch:.3g} "
             f"(tolerance {1e-9 * scale:.3g}); the roots are too close to resolve"
@@ -279,30 +282,30 @@ _BLOCK = 8
 _MNK = 2**18
 
 
-def _operators(p: np.ndarray, steps: int, taps=None) -> list[np.ndarray]:
-    """The float64 operators of _blocks for a recurrence of `steps` steps
-    with the long-double step map p, one per level, built together.
+def _operators(dp: np.ndarray, steps: int, taps=None) -> list[np.ndarray]:
+    """The float64 operators of _blocks for `steps` steps of the step map
+    p = I + dp, the increment dp in long double, one per level, built together.
 
     Level L steps with phi = p**(_BLOCK**L).  Its operator has a row per
     input and a column per (step k, component j) of a block: for input i
     of the drive of step l, (phi**(k-l))[j, i] when k >= l; below those,
     d rows [phi**1 .. phi**_BLOCK] that carry the state a block starts
     from.  At level 0, taps (d x w) first map a window of _BLOCK + w - 1
-    samples to the drives, drive l = sum_r taps[:, r] sample[l + r].  All
-    of it is formed in long double and rounded once.
+    samples to the drives, drive l = sum_r taps[:, r] sample[l + r].  Only
+    the squarings of dp run in long double; the powers of phi are float64.
     """
-    d, log2 = len(p), _BLOCK.bit_length() - 1
+    d, log2 = len(dp), _BLOCK.bit_length() - 1
     levels, blocks = 1, -(-steps // _BLOCK)
     while blocks > 1:
         levels, blocks = levels + 1, -(-(blocks - 1) // _BLOCK)
     # p**(2**k) - 1 by squaring, (1 + D)**2 = 1 + (2 + D) D, so that the
     # rounding of each square is relative to D, not to 1.
     chain = np.empty((levels * log2 + 1, d, d), dtype=np.longdouble)
-    chain[0], two = p - np.eye(d), 2 * np.eye(d)
+    chain[0], two = dp, 2 * np.eye(d)
     for k in range(levels * log2):
         np.matmul(chain[k], chain[k] + two, out=chain[k + 1])
     chain += np.eye(d)
-    table = np.empty((levels, _BLOCK + 1, d, d), dtype=np.longdouble)  # phi**j
+    table = np.empty((levels, _BLOCK + 1, d, d))  # phi**j
     table[:, 0], table[:, 1] = np.eye(d), chain[:-1:log2]
     for k in range(1, log2 + 1):
         have = 2**k
@@ -310,26 +313,26 @@ def _operators(p: np.ndarray, steps: int, taps=None) -> list[np.ndarray]:
         table[:, have : have + take] = table[:, :take] @ chain[k::log2, None]
     lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))  # l - k
     power, upper = np.maximum(-lag, 0), (lag <= 0)[:, :, None, None]
-    rounded = table.astype(float)  # the rest of the hold-free operators only moves entries
-    ops = np.where(upper, rounded[:, power], 0).transpose(0, 1, 4, 2, 3)
+    ops = np.where(upper, table[:, power], 0).transpose(0, 1, 4, 2, 3)
     ops = ops.reshape(levels, _BLOCK * d, _BLOCK * d)
-    carry = rounded[:, 1:].transpose(0, 3, 1, 2).reshape(levels, d, _BLOCK * d)
+    carry = table[:, 1:].transpose(0, 3, 1, 2).reshape(levels, d, _BLOCK * d)
     out = list(np.concatenate([ops, carry], axis=1))
     if taps is not None:
         # Sample l + r of a window is tap r of step l's drive.
         w = taps.shape[1]
         spread = np.where(upper, (table[0, :_BLOCK] @ taps)[power], 0)
-        hold = np.zeros((_BLOCK + w - 1, _BLOCK, d), dtype=np.longdouble)
+        hold = np.zeros((_BLOCK + w - 1, _BLOCK, d))
         for r in range(w):
             hold[r : r + _BLOCK] += spread[..., r]
-        out[0] = np.concatenate([hold.reshape(_BLOCK + w - 1, -1).astype(float), carry[0]])
+        out[0] = np.concatenate([hold.reshape(_BLOCK + w - 1, -1), carry[0]])
     return out
 
 
 def _blocks(ops: list[np.ndarray], z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """z[i] <- phi @ z[i-1] + (drive of step i) for i >= 1, _BLOCK steps at a
-    time, with ops from _operators and z of 1 + nb*_BLOCK rows of d, z[0]
-    the initial state; _scan lays out both, and only it calls in here.
+    time, with ops from _operators of the increment phi - I and z of
+    1 + nb*_BLOCK rows of d, z[0] the initial state; _scan lays out both,
+    and only it calls in here.
 
     u holds the inputs: a 2-d u (it may be z[1:]) gives step i the drive
     u[i - 1]; a 1-d u, at least (nb + 1)*_BLOCK long, gives step i the
@@ -391,34 +394,34 @@ def _extend(f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(p: np.ndarray, z0, u: np.ndarray, moments=None) -> np.ndarray:
-    """States z_i = p @ z_{i-1} + (drive of step i) from z0, as an (n, d)
-    array: the one entry to _operators and _blocks.  The n - 1 rows of u
-    are the drives; or, with moments (d x 4: what d functionals give for
-    tau^0..tau^3), u holds n samples, read through the cubic hold by the
-    taps moments @ _HOLD_SIXTHS / 6, formed in long double like p's powers.
+def _scan(dp: np.ndarray, z0, u: np.ndarray, moments=None) -> np.ndarray:
+    """States z_i = z_{i-1} + dp @ z_{i-1} + (drive of step i) from z0, as an
+    (n, d) array, dp the increment of the step map: the one entry to
+    _operators and _blocks.  The n - 1 rows of u are the drives; or, with
+    moments (d x 4: what d functionals give for tau^0..tau^3), u holds n
+    samples, read through the cubic hold by the taps moments @ _HOLD_SIXTHS / 6.
     """
     n = len(u) + (moments is None)
     nb = -(-(n - 1) // _BLOCK)
-    z = np.empty((1 + nb * _BLOCK, len(p)))
+    z = np.empty((1 + nb * _BLOCK, len(dp)))
     z[0], taps = z0, None
     if moments is None:
         z[1:n], z[n:] = u, 0
         u = z[1:]
     else:
-        taps = np.asarray(moments, np.longdouble) @ _HOLD_SIXTHS / 6
+        taps = np.asarray(moments, float) @ _HOLD_SIXTHS / 6
         u = _extend(u, np.zeros((nb + 1) * _BLOCK))
-    return _blocks(_operators(np.asarray(p, dtype=np.longdouble), n - 1, taps), z, u)[:n]
+    return _blocks(_operators(np.asarray(dp, dtype=np.longdouble), n - 1, taps), z, u)[:n]
 
 
 # 1/j! for j = 0..19, as the (5, 4) coefficients of _expm's Paterson-
-# Stockmeyer form; those past degree 16 are zero.
-_TAYLOR = np.array([1 / np.longdouble(math.factorial(j)) if j <= 16 else 0 for j in range(20)])
+# Stockmeyer form; j = 0, the identity, and those past degree 16 are zero.
+_TAYLOR = np.array([1 / np.longdouble(math.factorial(j)) if 0 < j <= 16 else 0 for j in range(20)])
 _TAYLOR = _TAYLOR.reshape(5, 4)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of one small matrix: scaling, degree-16 Taylor, squaring.
+    """The increment exp(a) - I: scaling, degree-16 Taylor, D <- D (D + 2) squaring.
 
     The Taylor sum is sum_i (sum_r x**r / (4i + r)!) (x**4)**i, by Horner in
     x**4 (Paterson & Stockmeyer 1973): 7 products where term by term takes 16.
@@ -435,12 +438,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         if not np.isfinite(out).all():
             break  # a non-finite entry stays so in every later square
-        out = out @ out
+        out = out @ (out + 2 * np.eye(len(a)))
     return out
 
 
 def _step_map(params, dt: float):
-    """(P, Gamma) in long double: P = exp(A*dt) for z = (x, v, y), which obeys
+    """(P - I, Gamma) in long double: P = exp(A*dt) for z = (x, v, y), obeying
     z' = A z + b f, b = (0, 1/m, 0); Gamma = [Gamma_0 .. Gamma_3], the
     integrals over one step of exp(A*(dt - s)) b against (s/dt)**j.
 
@@ -451,8 +454,8 @@ def _step_map(params, dt: float):
 
     The block holds S A S^-1 dt, S = diag(2^p, 1, 2^q), whose entries are
     near omega dt, sqrt(c mu/m) dt and mu dt: then _expm's scaling, and so
-    the result, do not depend on the unit of time.  S leaves b alone, and
-    undoing it on P and Gamma is exact, since it holds powers of two.
+    the result, do not depend on the unit of time.  S leaves b and I alone,
+    and undoing it on P - I and Gamma is exact: it holds powers of two.
     """
     m, c, k, mu = params.m, params.c, params.k, params.mu
     ek, em, ec, emu = (math.frexp(v)[1] for v in (k, m, c, mu))
@@ -474,13 +477,13 @@ def _forced_convolution(params, f: np.ndarray, dt: float, z0) -> np.ndarray:
     y(0) = W holds the whole history, so z0 = (x0, v0, W) is the full
     initial state; from rest the columns are h*f and hdot*f.  Step i adds
     g_i = Gamma c_i, c_i the tau^0..tau^3 coefficients of the cubic hold on
-    step i, so z_i = P z_{i-1} + g_i is exact for cubic f and O(dt^4) for
-    smooth f (_step_map): _scan with the moments Gamma.
+    step i, so z_i = z_{i-1} + (P - I) z_{i-1} + g_i is exact for cubic f and
+    O(dt^4) for smooth f (_step_map): _scan of the increment P - I and Gamma.
     """
-    # An overflow in P, Gamma or the scan leaves a NaN or inf in the last row.
+    # An overflow in P - I, Gamma or the scan leaves a NaN or inf in the last row.
     with np.errstate(over="ignore", invalid="ignore"):
-        p, gamma = _step_map(params, dt)
-        z = _scan(p, z0, f, gamma)
+        dp, gamma = _step_map(params, dt)
+        z = _scan(dp, z0, f, gamma)
     if not np.isfinite(z[-1]).all():
         raise StepTooLarge(f"the step map or the scan leaves float64's range at dt = {dt:g}")
     return z

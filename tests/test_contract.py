@@ -25,6 +25,7 @@ from expdamp import (
     DegenerateSpectrum,
     HistoryProfile,
     InitialState,
+    NotOscillatory,
     OscillatorParams,
     Samples,
     Sine,
@@ -519,12 +520,14 @@ def test_integrate_invariant_under_time_units(params, dt, t_end, forcing):
 def test_seeded_extreme_scales_give_a_result_or_a_typed_error(decades):
     # Outcome half of the contract over 2*decades decades of every
     # parameter, with c = 0 in a tenth of the draws: solve_eigen returns or
-    # raises DegenerateSpectrum, and the zero-drive forced scan and the RK4
-    # oracle return finite columns or raise StepTooLarge.  No other
+    # raises DegenerateSpectrum; the zero-drive forced scan and the RK4
+    # oracle return finite columns or raise StepTooLarge; the closed form
+    # returns finite columns or raises DegenerateSpectrum, and verify_decay
+    # a finite report or DegenerateSpectrum or NotOscillatory.  No other
     # exception, no RuntimeWarning.
     rng = np.random.default_rng(1)
     kinds = collections.Counter()
-    history = HistoryProfile(1.0, Constant(1.0))
+    state, history = InitialState(1.0, 0.3), HistoryProfile(1.0, Constant(1.0))
     for _ in range(3000):
         m, c, k, mu = 10 ** rng.uniform(-decades, decades, 4)
         if rng.random() < 0.1:
@@ -539,11 +542,29 @@ def test_seeded_extreme_scales_give_a_result_or_a_typed_error(decades):
                 kinds[DegenerateSpectrum] += 1
             for solve, forcing in ((forced_response, Constant(0.0)), (integrate, None)):
                 try:
-                    traj = solve(params, InitialState(1.0, 0.3), history, forcing, 1.0, 0.01)
+                    traj = solve(params, state, history, forcing, 1.0, 0.01)
                 except StepTooLarge:
                     kinds[solve.__name__, StepTooLarge] += 1
                     continue
                 assert all(np.isfinite(col).all() for col in (traj.x, traj.xdot, traj.y)), params
                 kinds[solve.__name__, "ok"] += 1
+            try:
+                traj = forced_response(params, state, history, None, 1.0, 0.01)
+            except DegenerateSpectrum:
+                kinds["closed form", DegenerateSpectrum] += 1
+            else:
+                assert np.isfinite(traj.x).all() and np.isfinite(traj.xdot).all(), params
+                kinds["closed form", "ok"] += 1
+            try:
+                report = verify_decay(params, state, history, 1.0, 0.01)
+            except (DegenerateSpectrum, NotOscillatory) as err:
+                kinds[verify_decay.__name__, type(err)] += 1
+                continue
+            columns = (report.i1_abs, report.i2_abs, report.b1, report.b2)
+            assert all(np.isfinite(col).all() for col in columns), params
+            if report.tail_ok is not None:
+                tail = (report.tail_x, report.tail_i1, report.tail_i2)
+                assert np.isfinite(tail).all(), params
+            kinds[verify_decay.__name__, "ok"] += 1
     # each outcome is reached
-    assert len(kinds) == 6, kinds
+    assert len(kinds) == 11, kinds

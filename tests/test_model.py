@@ -253,12 +253,13 @@ def test_sup_norm_samples():
 @pytest.mark.parametrize("size, degree", [(2, 1), (3, 2), (4, 3), (5, 3), (64, 3)])
 def test_hold_reads_low_degree_samples_exactly(size, degree):
     # The moment [1, x, x^2, x^3] evaluates each step's cubic at tau = x (a
-    # scan with a zero step map gives each step's drive alone): the
-    # nodes at x = 0 and 1, and at x = 1/2 the polynomial itself, end steps
-    # included, since the end nodes lie on the polynomial through the samples.
+    # scan with the zero step map, whose increment is -1, gives each step's
+    # drive alone): the nodes at x = 0 and 1, and at x = 1/2 the polynomial
+    # itself, end steps included, since the end nodes lie on the polynomial
+    # through the samples.
     poly = np.polynomial.Polynomial(np.random.default_rng(size).normal(size=degree + 1))
     x = np.array([0.0, 0.5, 1.0])
     f = poly(np.arange(size))
-    out = np.array([_scan(np.zeros((1, 1)), [0.0], f, [xi ** np.arange(4)])[1:, 0] for xi in x])
+    out = np.array([_scan(-np.ones((1, 1)), [0.0], f, [xi ** np.arange(4)])[1:, 0] for xi in x])
     want = poly(np.arange(size - 1) + x[:, None])
     assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))

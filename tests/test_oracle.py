@@ -318,22 +318,27 @@ def test_step_map_matches_staged_loop(params, history, forcing, t_end, dt):
 
 
 def _long_double_step_map(params, state, w, f_nodes, f_mid, dt):
-    # Reference: the step map read off one staged RK4 step from each unit
-    # state (the columns of P) and from zero state with unit forcing at the
-    # start, middle or end of the step (q0, qm, q1), then applied step by
-    # step in long double.
-    def one_step(x0, v0, y0, f_start, f_middle, f_end):
-        out = _staged_rk4(params, InitialState(x0, v0), y0, [f_start, f_end], [f_middle], dt)
-        return [col[1] for col in out]
-
+    # Reference: linear RK4 in long double.  Its step is z <- z + D z +
+    # q0 f_start + qm f_middle + q1 f_end, with the increment D = hA +
+    # (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and, for b = (0, 1/m, 0), the forcing
+    # columns q0 = h/6 (I + hA + (hA)^2/2 + (hA)^3/4) b,
+    # qm = h/6 (4I + 2hA + (hA)^2/2) b and q1 = h/6 b, applied step by step.
     ld = np.longdouble
-    p = np.array([one_step(*unit, 0, 0, 0) for unit in np.eye(3)], dtype=ld).T
-    q = np.array([one_step(0, 0, 0, *unit) for unit in np.eye(3)], dtype=ld).T
+    m, c, k, mu = (ld(v) for v in (params.m, params.c, params.k, params.mu))
+    h = ld(dt)
+    ha = np.array([[0, 1, 0], [-k / m, 0, -c / m], [0, mu, -mu]], dtype=ld) * h
+    ha2 = ha @ ha
+    ha3 = ha2 @ ha
+    d = ha + ha2 / 2 + ha3 / 6 + ha3 @ ha / 24
+    i3, b = np.eye(3, dtype=ld), np.array([0, 1 / m, 0], dtype=ld)
+    q0 = h / 6 * (i3 + ha + ha2 / 2 + ha3 / 4) @ b
+    qm = h / 6 * (4 * i3 + 2 * ha + ha2 / 2) @ b
+    q = np.stack([q0, qm, h / 6 * b], axis=1)
     drive = q @ np.stack([f_nodes[:-1], f_mid, f_nodes[1:]]).astype(ld)
     z = np.empty((3, len(f_nodes)), dtype=ld)
     z[:, 0] = state.x0, state.v0, w
     for i in range(1, len(f_nodes)):
-        z[:, i] = p @ z[:, i - 1] + drive[:, i - 1]
+        z[:, i] = z[:, i - 1] + d @ z[:, i - 1] + drive[:, i - 1]
     return z
 
 

@@ -415,13 +415,14 @@ def test_forced_convolution_matches_recursion(params, n):
     ids=["reference", "c=0", "mu=80"],
 )
 def test_forced_convolution_matches_long_double_recursion(params):
-    # On the kernel's own P and Gamma, the step-by-step recursion in long
-    # double over 1e5 points.  The blocks and their carried ends round a few
-    # times, not once per step, so the error stays within 2e-15 of scale
-    # (the doubling scan this replaced read 2.8e-15 on c = 0).
+    # On the kernel's own increment P - I and Gamma, the step-by-step
+    # recursion z + (P - I) z + g in long double over 1e5 points.  The
+    # blocks and their carried ends round a few times, not once per step, so
+    # the error stays within 2e-15 of scale (the doubling scan this replaced
+    # read 2.8e-15 on c = 0).
     n, dt, z0 = 100_001, 1e-3, (1.0, 0.3, 0.8)
     f = np.cos(1.3 * np.arange(n) * dt) + np.random.default_rng(5).uniform(-0.5, 0.5, n)
-    p, gamma = _step_map(params, dt)
+    dp, gamma = _step_map(params, dt)
     sixths = np.array([[0, 6, 0, 0], [-2, -3, 6, -1], [3, -6, 3, 0], [-1, 3, -3, 1]])
     assert np.array_equal(sixths, _HOLD_SIXTHS)
     taps = gamma @ sixths.astype(np.longdouble) / 6
@@ -429,9 +430,58 @@ def test_forced_convolution_matches_long_double_recursion(params):
     want = np.empty((n, 3), dtype=np.longdouble)
     want[0] = z0
     for i in range(1, n):
-        want[i] = p @ want[i - 1] + g[i - 1]
+        want[i] = want[i - 1] + dp @ want[i - 1] + g[i - 1]
     got = _forced_convolution(params, f, dt, z0)
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 2e-15
+
+
+# x at t = 1, 2.5 and 5 of (x0, v0) = (1, 0.3) with a Constant(1) history on
+# a = 1 (W = 1 here) and REFERENCE's m, c, k: exp(A t) z0 for zero forcing,
+# and with Sine(1, 2, 0) the same on the 5 x 5 system that appends
+# (sin 2t, cos 2t), both by mpmath's expm at 60 digits at t = j*dt exactly.
+VISCOUS_X = {
+    (1e9, None): [-0.11527861930300632446, -0.012213991028784022179, -0.2897193505281877628],
+    (1e12, None): [-0.11527861879791041163, -0.012213991803794945886, -0.28971935089659657217],
+    (1e12, "sine"): [0.077770222272837416252, -0.22964993836413922178, 0.28027721318856014825],
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize(
+    "mu, forcing, tol",
+    [(1e9, None, 1e-15), (1e12, None, 1e-15), (1e12, "sine", 1e-12)],
+    ids=["mu=1e9", "mu=1e12", "mu=1e12-sine"],
+)
+def test_scan_keeps_digits_in_viscous_limit(mu, forcing, tol):
+    # At mu*dt = 1e6 (1e9) _expm scales A dt by 2**-22 (2**-32), so the
+    # oscillator part of its Taylor sum is 5e-10 (5e-13) of the identity.
+    # Squared as P, each square rounded against 1, x lost 3e-10 (6e-8) of
+    # scale.  Squared as P - I it meets the exact flow to rounding; with the
+    # sine drive, to the cubic hold's own O(dt^4) error, 2e-13 at mu = 2.
+    params = OscillatorParams(1.0, 0.5, 4.0, mu)
+    drive = Sine(1.0, 2.0, 0.0) if forcing else Constant(0.0)
+    traj = forced_response(params, REF_STATE, REF_HISTORY, drive, 5.0, 1e-3)
+    want = np.array(VISCOUS_X[mu, forcing])
+    assert np.max(np.abs(traj.x[[1000, 2500, 5000]] - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than float64"
+)
+def test_scan_keeps_digits_over_a_million_undamped_steps():
+    # dt = 2**-9 makes every t_i exact, so cos t + 0.3 sin t is the flow to
+    # an ulp.  Stored as P = I + D, the step map rounded D against 1, and
+    # 1e6 steps grew that to 4e-14 of scale; P - I keeps D's own digits.
+    dt = 2.0**-9
+    traj = forced_response(
+        OscillatorParams(1.0, 0.0, 1.0, 1.0), REF_STATE, None, Constant(0.0), 1e6 * dt, dt
+    )
+    t = np.arange(1_000_001) * dt
+    assert traj.dt == dt and len(traj) == len(t)
+    want = np.cos(t) + 0.3 * np.sin(t)
+    assert np.max(np.abs(traj.x - want)) <= 5e-15 * np.max(np.abs(want))
 
 
 def _whole_grid_forcing(forcing, t):
